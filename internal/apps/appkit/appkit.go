@@ -175,17 +175,8 @@ func NewMallocEnv(kind string, cfg Config) MallocEnv {
 // NewRegionEnv builds a region environment: "safe", "unsafe", or
 // "emu:<malloc kind>".
 func NewRegionEnv(kind string, cfg Config) RegionEnv {
-	sp, g := newSpace(cfg)
-	switch kind {
-	case "safe", "unsafe":
-		rt := core.NewRuntime(sp, kind == "safe")
-		if cfg.Tracer != nil {
-			rt.SetTracer(cfg.Tracer)
-		}
-		if cfg.Metrics != nil {
-			rt.SetMetrics(cfg.Metrics)
-		}
-		return &coreEnv{baseEnv{name: kind, sp: sp, globals: g}, rt}
+	if kind == "safe" || kind == "unsafe" {
+		return NewCustomRegionEnv(kind, core.Options{Safe: kind == "safe"}, cfg)
 	}
 	var under string
 	if _, err := fmt.Sscanf(kind, "emu:%s", &under); err != nil {

@@ -14,7 +14,7 @@ import (
 // what stealing buys. The imbalance workload is deliberately skewed
 // instead: heavy and light copies of one app interleaved so that static
 // placement piles every heavy task on shard 0, and the same task list is
-// run twice, once with Config.NoSteal (the pre-stealing placement) and
+// run twice, once with shard.WithNoSteal (the pre-stealing placement) and
 // once with stealing. The checksums must match (the determinism gate); the
 // max/min busy-cycle ratio is the balance claim in docs/PERFORMANCE.md.
 

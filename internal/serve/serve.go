@@ -155,8 +155,8 @@ type Config struct {
 	// barrier (default 0.5). Only meaningful with ResizeTo.
 	ResizeAfter float64
 	// Metrics, when non-nil, receives the serve series (and attaches every
-	// shard runtime, as in shard.Config). A private registry is used when
-	// nil, so percentiles work either way.
+	// shard runtime, as shard.WithMetrics does). A private registry is used
+	// when nil, so percentiles work either way.
 	Metrics *metrics.Registry
 	// Spans turns on request-level span tracing: every completed session's
 	// critical path — queue wait, parse, work, delete, and re-attributed
@@ -472,13 +472,14 @@ func Run(cfg Config) (*Result, error) {
 	// scheduling, which would make sweep progress (and so every latency
 	// percentile) nondeterministic. serveOne models idle sweeping on the
 	// simulated clock instead.
-	engOpts := []shard.Option{shard.WithShards(cfg.Shards), shard.WithMetrics(cfg.Metrics)}
-	if cfg.DeferredDelete {
-		engOpts = append(engOpts, shard.WithDeferredDelete(cfg.SweepBudget, cfg.SweepHighWater))
-	}
-	if cfg.NoStrPool {
-		engOpts = append(engOpts, shard.WithNoStrPool())
-	}
+	engOpts := []shard.Option{shard.WithShards(cfg.Shards), shard.WithMetrics(cfg.Metrics),
+		shard.WithRuntime(core.Options{
+			Safe:           true,
+			DeferredDelete: cfg.DeferredDelete,
+			SweepBudget:    cfg.SweepBudget,
+			SweepHighWater: cfg.SweepHighWater,
+			NoStrPool:      cfg.NoStrPool,
+		})}
 	if sv.spanT != nil {
 		// The engine brackets its own pauses (the resize barrier's migration
 		// export/import tasks) on the same ring, as shard-track spans on the

@@ -17,6 +17,10 @@ import (
 // OS 64 at a time and serves region churn from the cache.
 const DefaultPageBatch = 64
 
+// queueCap is the capacity of each shard's stealable and pinned task
+// deques; a submitter blocks while its target deque is full.
+const queueCap = 32
+
 // Task is one unit of work for the engine. Run receives the executing
 // shard's environment and returns a checksum; checksums are summed (a
 // commutative fold) into the shard's stats, so any placement of a fixed
@@ -68,60 +72,6 @@ type TaskResult struct {
 	StartCycles, EndCycles uint64
 }
 
-// Config sizes an Engine for the deprecated New constructor. New code
-// should use NewEngine with functional options (see options.go); each
-// field here corresponds to one With* option.
-type Config struct {
-	// Shards is the number of independent runtimes; values below 1 become 1.
-	Shards int
-	// PageBatch overrides DefaultPageBatch for each shard's free-page
-	// cache; 1 disables batching, 0 means the default.
-	PageBatch int
-	// Queue is the per-shard pending-task deque capacity (default 32).
-	Queue int
-	// NoSteal disables work stealing: every task runs on its home shard,
-	// the engine's pre-stealing static placement. Exists for A/B
-	// measurement (the imbalance benchmark) and as an escape hatch.
-	NoSteal bool
-	// Unsafe runs every shard on the unsafe region library (no reference
-	// counting), for measuring the cost of safety under load.
-	Unsafe bool
-	// Metrics, when non-nil, attaches every shard's runtime and space to
-	// the registry (core/mem series are shared across shards; the registry
-	// is atomic) and adds per-shard labeled series: tasks, failures, busy
-	// simulated cycles, steals, and live queue depth. Close records the
-	// engine's makespan and utilization gauges.
-	Metrics *metrics.Registry
-	// HeapProfileEvery, when above 0, makes each shard capture a heap
-	// profile of its runtime every N completed tasks (plus after its
-	// first task and once at drain, so short runs still expose one),
-	// exposed via HeapReports — the data behind regionbench's /heap
-	// endpoint. Capture runs on the shard's own goroutine, so it is safe
-	// without locking the runtime.
-	HeapProfileEvery int
-	// DeferredDelete runs every shard runtime with core.Options.
-	// DeferredDelete: region deletion detaches pages and the per-page
-	// reclamation runs in bounded sweep slices — on idle cycles when
-	// IdleSweep is set, via the allocation tax above the high-water mark,
-	// and in a final drain when the engine closes (recorded per shard as
-	// Stats.DrainSweepCycles).
-	DeferredDelete bool
-	// SweepBudget and SweepHighWater forward to the shard runtimes'
-	// core.Options fields; zero keeps the core defaults.
-	SweepBudget    int
-	SweepHighWater int
-	// NoStrPool runs every shard runtime with the pooled string allocator's
-	// free lists disabled (core.Options.NoStrPool) — the A/B escape hatch
-	// for measuring explicit string reuse.
-	NoStrPool bool
-	// IdleSweep makes a worker that finds no runnable task sweep one slice
-	// of its runtime's debt before blocking, turning scheduler idle cycles
-	// into reclamation. Off by default because sweep progress then depends
-	// on wall-clock scheduling: drivers that need deterministic simulated
-	// clocks (internal/serve) model their own idle sweeping instead.
-	IdleSweep bool
-}
-
 // Stats is one shard's tally, owned by the shard goroutine until it exits
 // (Close, or retirement by a shrinking Resize).
 type Stats struct {
@@ -135,7 +85,7 @@ type Stats struct {
 	OSBytes   uint64        // memory the shard requested from its OS
 	Busy      time.Duration // wall-clock time spent inside tasks
 
-	// Deferred-reclamation tallies (Config.DeferredDelete only).
+	// Deferred-reclamation tallies (core.Options.DeferredDelete only).
 	SweptPages       uint64 // pages the shard's sweeper poisoned
 	SweepDebtPeak    int    // highest sweep debt the shard ever carried
 	DrainSweepCycles uint64 // simulated cycles of the close-time debt drain
@@ -228,12 +178,7 @@ type Engine struct {
 	ws        atomic.Pointer[[]*worker]
 	rr        atomic.Uint32
 	wg        sync.WaitGroup
-	reg       *metrics.Registry
-	set       settings // resolved options; template for workers Resize adds
-	noSteal   bool
-	deferred  bool          // shards run with core.Options.DeferredDelete
-	idleSweep bool          // idle workers sweep debt before sleeping
-	spanT     *trace.Tracer // span sink (WithSpanTracer), nil for none
+	set       settings     // resolved options; template for workers Resize adds
 	stealable atomic.Int64 // tasks currently in stealable deques, engine-wide
 
 	mu     sync.Mutex
@@ -256,34 +201,31 @@ type Engine struct {
 }
 
 // NewEngine starts an engine configured by functional options (see
-// options.go), each worker owning an independent safe (or unsafe) region
-// runtime with a batched free-page cache.
+// options.go), each worker owning an independent region runtime (safe by
+// default, see WithRuntime) with a batched free-page cache.
 func NewEngine(opts ...Option) *Engine {
-	var s settings
+	s := settings{runtime: core.Options{Safe: true}}
 	for _, o := range opts {
 		o(&s)
 	}
-	if s.Shards < 1 {
-		s.Shards = 1
+	if s.shards < 1 {
+		s.shards = 1
 	}
-	if s.Queue <= 0 {
-		s.Queue = 32
-	}
-	if s.PageBatch == 0 {
-		s.PageBatch = DefaultPageBatch
+	if s.runtime.PageBatch == 0 {
+		s.runtime.PageBatch = DefaultPageBatch
 	}
 	if s.placement == nil {
 		s.placement = defaultPlacement
 	}
-	e := &Engine{reg: s.Metrics, set: s, noSteal: s.NoSteal, spanT: s.spanT,
-		deferred: s.DeferredDelete, idleSweep: s.DeferredDelete && s.IdleSweep}
+	s.idleSweep = s.idleSweep && s.runtime.DeferredDelete
+	e := &Engine{set: s}
 	e.cond = sync.NewCond(&e.mu)
-	if e.reg != nil {
-		e.migTotal = e.reg.Counter("regions_migrations_total")
-		e.migPages = e.reg.Counter("regions_migrated_pages_total")
-		e.migCycles = e.reg.Histogram("regions_migration_cycles", migrationCycleBounds)
+	if reg := s.metrics; reg != nil {
+		e.migTotal = reg.Counter("regions_migrations_total")
+		e.migPages = reg.Counter("regions_migrated_pages_total")
+		e.migCycles = reg.Histogram("regions_migration_cycles", migrationCycleBounds)
 	}
-	ws := make([]*worker, s.Shards)
+	ws := make([]*worker, s.shards)
 	for i := range ws {
 		ws[i] = e.newWorker()
 	}
@@ -302,36 +244,23 @@ func NewEngine(opts ...Option) *Engine {
 	return e
 }
 
-// New starts an engine sized by a Config literal.
-//
-// Deprecated: use NewEngine with functional options. New remains as a thin
-// adapter and configures exactly what the equivalent With* options would.
-func New(cfg Config) *Engine { return NewEngine(withConfig(cfg)) }
-
 // newWorker builds (but does not start) a worker from the engine's resolved
 // settings, assigning the next stable shard id.
 func (e *Engine) newWorker() *worker {
 	id := e.nextID
 	e.nextID++
 	w := &worker{
-		id: id,
-		env: NewEnv(shardName(id), core.Options{
-			Safe:           !e.set.Unsafe,
-			PageBatch:      e.set.PageBatch,
-			DeferredDelete: e.set.DeferredDelete,
-			SweepBudget:    e.set.SweepBudget,
-			SweepHighWater: e.set.SweepHighWater,
-			NoStrPool:      e.set.NoStrPool,
-		}),
-		dq:        newDeque(e.set.Queue),
-		pinned:    newDeque(e.set.Queue),
+		id:        id,
+		env:       NewEnv(shardName(id), e.set.runtime),
+		dq:        newDeque(queueCap),
+		pinned:    newDeque(queueCap),
 		done:      make(chan struct{}),
-		profEvery: e.set.HeapProfileEvery,
+		profEvery: e.set.heapProfileEvery,
 	}
-	if e.reg != nil {
-		w.env.Runtime().SetMetrics(e.reg)
-		w.env.Space().SetMetrics(e.reg)
-		w.met = newWorkerMetrics(e.reg, id)
+	if reg := e.set.metrics; reg != nil {
+		w.env.Runtime().SetMetrics(reg)
+		w.env.Space().SetMetrics(reg)
+		w.met = newWorkerMetrics(reg, id)
 	}
 	w.stats.Shard = id
 	return w
@@ -499,7 +428,7 @@ func (e *Engine) next(w *worker) (t Task, stolen, ok bool) {
 		if w.retiring.Load() {
 			return Task{}, false, false
 		}
-		if !e.noSteal {
+		if !e.set.noSteal {
 			// The live slice can change across iterations of the outer loop
 			// (Resize), so find our own position fresh each sweep; a worker
 			// no longer in the slice (mid-retirement) simply doesn't steal.
@@ -525,7 +454,7 @@ func (e *Engine) next(w *worker) (t Task, stolen, ok bool) {
 		// Nothing runnable anywhere: spend the idle cycles on sweep debt,
 		// one bounded slice per pass so a task arriving mid-drain is picked
 		// up after at most one slice.
-		if e.idleSweep {
+		if e.set.idleSweep {
 			if rt := w.env.Runtime(); rt.SweepDebt() > 0 {
 				before := w.env.Counters().TotalCycles()
 				rt.SweepSlice()
@@ -536,7 +465,7 @@ func (e *Engine) next(w *worker) (t Task, stolen, ok bool) {
 		e.mu.Lock()
 		for {
 			if w.npinned.Load() > 0 || w.dq.len() > 0 ||
-				(!e.noSteal && e.stealable.Load() > 0) {
+				(!e.set.noSteal && e.stealable.Load() > 0) {
 				break
 			}
 			if e.closed.Load() || w.retiring.Load() {
@@ -556,11 +485,11 @@ func (e *Engine) next(w *worker) (t Task, stolen, ok bool) {
 // Both halves are emitted together, after the fact, which the analyzer
 // accepts because it orders by the stamps, not by arrival.
 func (e *Engine) emitSpan(kind trace.SpanKind, shard int, begin, end uint64) {
-	if e.spanT == nil {
+	if e.set.spanT == nil {
 		return
 	}
-	e.spanT.Emit(trace.SpanBegin(kind, -1, shard, begin))
-	e.spanT.Emit(trace.SpanEnd(kind, -1, shard, end))
+	e.set.spanT.Emit(trace.SpanBegin(kind, -1, shard, begin))
+	e.set.spanT.Emit(trace.SpanEnd(kind, -1, shard, end))
 }
 
 // notePopped records a task leaving owner's queue; the caller's loop then
@@ -573,7 +502,7 @@ func (w *worker) notePopped(owner *worker) {
 
 // HeapReports returns the most recent heap profile captured by each live
 // shard, in shard order, omitting shards that have not captured one yet.
-// Profiles are taken by the shard goroutines (see Config.HeapProfileEvery);
+// Profiles are taken by the shard goroutines (see WithHeapProfileEvery);
 // reading them is safe at any time.
 func (e *Engine) HeapReports() []*metrics.HeapReport {
 	var out []*metrics.HeapReport
@@ -628,18 +557,18 @@ func (e *Engine) Close() Aggregate {
 		}
 		agg.PerShard = append(agg.PerShard, s)
 	}
-	if e.reg != nil {
-		e.reg.Gauge("regions_shard_makespan_cycles").Set(int64(agg.MakespanCycles))
+	if reg := e.set.metrics; reg != nil {
+		reg.Gauge("regions_shard_makespan_cycles").Set(int64(agg.MakespanCycles))
 		if agg.MakespanCycles > 0 && agg.Shards > 0 {
 			util := agg.TotalCycles * 100 / (agg.MakespanCycles * uint64(agg.Shards))
-			e.reg.Gauge("regions_shard_utilization_pct").Set(int64(util))
+			reg.Gauge("regions_shard_utilization_pct").Set(int64(util))
 		}
-		if e.spanT != nil {
+		if e.set.spanT != nil {
 			// Span reconstruction is only as good as the ring: publish the
 			// events lost to wraparound so a scrape (and the SpanProfile
 			// consumer) can tell a complete account from a truncated window.
-			if d := e.spanT.Stats().Dropped; d > 0 {
-				e.reg.Counter("regions_trace_dropped_total").Add(d)
+			if d := e.set.spanT.Stats().Dropped; d > 0 {
+				reg.Counter("regions_trace_dropped_total").Add(d)
 			}
 		}
 	}
@@ -716,7 +645,7 @@ func (w *worker) loop(e *Engine) {
 			w.captureHeapProfile()
 		}
 	}
-	if e.deferred {
+	if e.set.runtime.DeferredDelete {
 		// Drain remaining sweep debt before the books close, so Close hands
 		// back fully poisoned heaps and debt provably returns to zero.
 		rt := w.env.Runtime()

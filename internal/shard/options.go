@@ -3,17 +3,16 @@ package shard
 import (
 	"time"
 
+	"regions/internal/core"
 	"regions/internal/metrics"
 	"regions/internal/trace"
 )
 
 // This file is the engine's construction surface: functional options over a
-// private settings struct. The Config literal grew a field per PR (sharding,
-// stealing, metrics, heap profiling, deferred deletion, idle sweeping...)
-// and migration/resize would have added several more; options keep each knob
-// a named, documented, composable unit — shard.NewEngine(shard.WithShards(8),
-// shard.WithMigration(cfg)) — while New(Config) survives as a thin
-// deprecated adapter for existing callers.
+// private settings struct, each knob a named, documented, composable unit —
+// shard.NewEngine(shard.WithShards(8), shard.WithMigration(cfg)). Runtime
+// knobs are not re-declared here: WithRuntime hands every shard one
+// core.Options value whole.
 
 // PlacementFunc maps an affinity key to a home shard index in [0, shards).
 // It must be a pure function of its arguments: placement runs on every
@@ -68,13 +67,17 @@ func (c *MigrationConfig) withDefaults() MigrationConfig {
 }
 
 // settings is the resolved engine configuration NewEngine builds from its
-// options. Config is embedded so the deprecated New(Config) adapter is one
-// assignment.
+// options.
 type settings struct {
-	Config
-	placement PlacementFunc
-	migration MigrationConfig
-	spanT     *trace.Tracer
+	shards           int
+	noSteal          bool
+	idleSweep        bool
+	heapProfileEvery int
+	runtime          core.Options
+	metrics          *metrics.Registry
+	placement        PlacementFunc
+	migration        MigrationConfig
+	spanT            *trace.Tracer
 }
 
 // Option configures an Engine at construction.
@@ -82,52 +85,46 @@ type Option func(*settings)
 
 // WithShards sets the initial worker count (default 1; values below 1
 // become 1). Engine.Resize can change it later.
-func WithShards(n int) Option { return func(s *settings) { s.Shards = n } }
+func WithShards(n int) Option { return func(s *settings) { s.shards = n } }
 
-// WithPageBatch sets each shard's free-page cache batch (default
-// DefaultPageBatch; 1 disables batching).
-func WithPageBatch(n int) Option { return func(s *settings) { s.PageBatch = n } }
+// WithRuntime sets the core options every shard runtime is built with,
+// including shards Engine.Resize adds later. The struct is taken verbatim,
+// so callers set Safe themselves: the zero core.Options is the unsafe
+// library. PageBatch 0 resolves to DefaultPageBatch. Without this option
+// shards run core.Options{Safe: true}. DeferredDelete also makes each worker
+// drain its sweep debt when the engine closes (Stats.DrainSweepCycles).
+func WithRuntime(opts core.Options) Option { return func(s *settings) { s.runtime = opts } }
 
-// WithQueueCap sets the per-shard pending-task deque capacity (default 32).
-func WithQueueCap(c int) Option { return func(s *settings) { s.Queue = c } }
+// WithNoSteal disables work stealing: every task runs on its home shard,
+// the engine's pre-stealing static placement. Exists for A/B measurement
+// (the imbalance benchmark).
+func WithNoSteal() Option { return func(s *settings) { s.noSteal = true } }
 
-// WithNoSteal disables work stealing: every task runs on its home shard.
-func WithNoSteal() Option { return func(s *settings) { s.NoSteal = true } }
-
-// WithUnsafe runs every shard on the unsafe region library.
-func WithUnsafe() Option { return func(s *settings) { s.Unsafe = true } }
-
-// WithMetrics attaches every shard's runtime, space, and per-shard labeled
-// series to reg, plus the engine's migration counters.
+// WithMetrics attaches every shard's runtime and space to reg (core/mem
+// series are shared across shards; the registry is atomic) and adds
+// per-shard labeled series: tasks, failures, busy simulated cycles, steals,
+// and live queue depth, plus the engine's migration counters. Close records
+// the engine's makespan and utilization gauges.
 func WithMetrics(reg *metrics.Registry) Option {
-	return func(s *settings) { s.Metrics = reg }
+	return func(s *settings) { s.metrics = reg }
 }
 
-// WithHeapProfileEvery makes each shard capture a heap profile every n
-// completed tasks (see Config.HeapProfileEvery).
+// WithHeapProfileEvery makes each shard capture a heap profile of its
+// runtime every n completed tasks (plus after its first task and once at
+// drain, so short runs still expose one), exposed via HeapReports — the data
+// behind regionbench's /heap endpoint. Capture runs on the shard's own
+// goroutine, so it is safe without locking the runtime.
 func WithHeapProfileEvery(n int) Option {
-	return func(s *settings) { s.HeapProfileEvery = n }
-}
-
-// WithDeferredDelete runs every shard runtime with deferred reclamation
-// (detach + incremental sweep); budget and highWater forward to the core
-// options, zero keeping the core defaults.
-func WithDeferredDelete(budget, highWater int) Option {
-	return func(s *settings) {
-		s.DeferredDelete = true
-		s.SweepBudget = budget
-		s.SweepHighWater = highWater
-	}
+	return func(s *settings) { s.heapProfileEvery = n }
 }
 
 // WithIdleSweep makes workers that find no runnable task sweep one slice of
-// sweep debt before blocking (meaningful only with WithDeferredDelete).
-func WithIdleSweep(on bool) Option { return func(s *settings) { s.IdleSweep = on } }
-
-// WithNoStrPool disables the pooled string allocator's free lists on every
-// shard runtime (core.Options.NoStrPool): RstrFree becomes accounting-only
-// and every RstrAlloc bumps, for A/B comparison against the pooled default.
-func WithNoStrPool() Option { return func(s *settings) { s.NoStrPool = true } }
+// sweep debt before blocking, turning scheduler idle cycles into
+// reclamation (meaningful only with a DeferredDelete runtime). Off by
+// default because sweep progress then depends on wall-clock scheduling:
+// drivers that need deterministic simulated clocks (internal/serve) model
+// their own idle sweeping instead.
+func WithIdleSweep(on bool) Option { return func(s *settings) { s.idleSweep = on } }
 
 // WithPlacement replaces the affinity-key placement function (default:
 // FNV-1a hash mod shard count). Round-robin placement of empty-key tasks is
@@ -158,9 +155,4 @@ func WithMigration(cfg MigrationConfig) Option {
 // spans on or off.
 func WithSpanTracer(t *trace.Tracer) Option {
 	return func(s *settings) { s.spanT = t }
-}
-
-// withConfig is the deprecated-adapter bridge from a Config literal.
-func withConfig(cfg Config) Option {
-	return func(s *settings) { s.Config = cfg }
 }

@@ -2,36 +2,86 @@ package shard
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
+
+	"regions/internal/apps/appkit"
+	"regions/internal/core"
 )
 
-// TestDeprecatedNewMatchesOptions pins the adapter contract: New(Config)
-// must configure exactly what the equivalent With* options do, so existing
-// callers can migrate field by field. Both engines run the same task set
-// and must agree on shard count, drained totals, and summed checksum.
-func TestDeprecatedNewMatchesOptions(t *testing.T) {
-	tasks := randomTasks(rand.New(rand.NewSource(7)), 120)
+// runtimeProbe is what one shard's runtime reports about its options,
+// observed by behaviour from a task pinned to that shard.
+type runtimeProbe struct {
+	safe      bool
+	debt      int    // sweep debt right after deleting a multi-page region
+	strReuse  uint64 // string allocations served from the pool
+	completed bool
+}
 
-	run := func(e *Engine) Aggregate {
-		e.SubmitBatch(tasks)
-		return e.Close()
+// probeRuntime runs a pinned task on every live shard that frees and
+// re-allocates a string (reused only when pooling is on), then deletes a
+// region holding a multi-page blob (leaving sweep debt only under
+// DeferredDelete), and reports what the shard's runtime did.
+func probeRuntime(e *Engine) []runtimeProbe {
+	ws := e.workers()
+	out := make([]runtimeProbe, len(ws))
+	for i, w := range ws {
+		e.submitTo(w, Task{Name: "probe", Pin: true, Run: func(env appkit.RegionEnv) uint32 {
+			rt := env.(*Env).Runtime()
+			r := env.NewRegion()
+			s := env.RstrAlloc(r, 64)
+			env.RstrFree(r, s, 64)
+			env.RstrAlloc(r, 64)
+			env.RstrAlloc(r, 3*8192)
+			if !env.DeleteRegion(r) {
+				panic("probe region not deletable")
+			}
+			out[i] = runtimeProbe{safe: env.Safe(), debt: rt.SweepDebt(),
+				strReuse: rt.StrPoolStats().Reuse, completed: true}
+			return 0
+		}})
 	}
-	old := run(New(Config{Shards: 3, NoSteal: true, Queue: 8, PageBatch: 16}))
-	opt := run(NewEngine(WithShards(3), WithNoSteal(), WithQueueCap(8), WithPageBatch(16)))
+	return out
+}
 
-	if old.Shards != opt.Shards {
-		t.Fatalf("shards: adapter %d, options %d", old.Shards, opt.Shards)
+// TestWithRuntimeReachesEveryShard guards the single runtime-options path:
+// a bare engine runs the safe library (the zero core.Options would be
+// unsafe), and whatever WithRuntime names reaches every shard — the initial
+// ones and those Resize adds later — as observed by behaviour.
+func TestWithRuntimeReachesEveryShard(t *testing.T) {
+	bare := NewEngine()
+	got := probeRuntime(bare)
+	bare.Close()
+	if !got[0].completed || !got[0].safe {
+		t.Fatalf("NewEngine() shard: %+v, want a safe runtime", got[0])
 	}
-	if old.Tasks != opt.Tasks || old.Failures != opt.Failures {
-		t.Fatalf("totals: adapter (%d, %d), options (%d, %d)",
-			old.Tasks, old.Failures, opt.Tasks, opt.Failures)
+
+	cases := []struct {
+		name                   string
+		opts                   core.Options
+		safe, deferred, pooled bool
+	}{
+		{"default", core.Options{Safe: true}, true, false, true},
+		{"unsafe", core.Options{}, false, false, true},
+		{"deferred", core.Options{Safe: true, DeferredDelete: true}, true, true, true},
+		{"nostrpool", core.Options{Safe: true, NoStrPool: true}, true, false, false},
 	}
-	if old.Checksum != opt.Checksum {
-		t.Fatalf("checksum: adapter %#x, options %#x", old.Checksum, opt.Checksum)
-	}
-	if old.Steals != 0 || opt.Steals != 0 {
-		t.Fatalf("NoSteal ignored: steals %d / %d", old.Steals, opt.Steals)
+	for _, tc := range cases {
+		e := NewEngine(WithShards(2), WithRuntime(tc.opts))
+		if _, err := e.Resize(4); err != nil {
+			t.Fatalf("%s: resize: %v", tc.name, err)
+		}
+		probes := probeRuntime(e)
+		for _, s := range e.Close().PerShard {
+			if s.Failures != 0 {
+				t.Errorf("%s: shard %d: %s", tc.name, s.Shard, s.LastError)
+			}
+		}
+		for i, p := range probes {
+			if !p.completed || p.safe != tc.safe || (p.debt > 0) != tc.deferred ||
+				(p.strReuse > 0) != tc.pooled {
+				t.Errorf("%s: shard %d reports %+v", tc.name, i, p)
+			}
+		}
 	}
 }
 

@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"regions/internal/apps/appkit"
 )
@@ -91,19 +94,51 @@ func TestStealingKeepsChecksumAndDrains(t *testing.T) {
 // TestImbalancedWorkloadIsStolen homes every task on one shard, unpinned:
 // the other three workers have nothing of their own and must steal. Verifies
 // steals are counted coherently and that the load actually spread.
+//
+// No task runs until both the home shard and a sibling have started one:
+// otherwise, on a loaded host, the home shard can drain the whole backlog
+// before any sibling goroutine is scheduled, or the siblings can steal all
+// of it before the home shard wakes. A generous timeout fails the test
+// instead of hanging it.
 func TestImbalancedWorkloadIsStolen(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		t.Skip("stealing needs a sibling worker actually running")
 	}
 	eng := NewEngine(WithShards(4))
 	home := eng.ShardFor("hot")
+	homeName := eng.Env(home).Name()
+	var (
+		homeRan, siblingRan   = make(chan struct{}), make(chan struct{})
+		homeOnce, siblingOnce sync.Once
+		timedOut              atomic.Bool
+	)
 	const tasks = 48
 	for i := 0; i < tasks; i++ {
 		tk := workTask(uint32(i), 128)
 		tk.Affinity = "hot"
+		run := tk.Run
+		tk.Run = func(e appkit.RegionEnv) uint32 {
+			if e.Name() == homeName {
+				homeOnce.Do(func() { close(homeRan) })
+			} else {
+				siblingOnce.Do(func() { close(siblingRan) })
+			}
+			deadline := time.After(30 * time.Second)
+			for _, ch := range []chan struct{}{homeRan, siblingRan} {
+				select {
+				case <-ch:
+				case <-deadline:
+					timedOut.Store(true)
+				}
+			}
+			return run(e)
+		}
 		eng.Submit(tk)
 	}
 	agg := eng.Close()
+	if timedOut.Load() {
+		t.Fatal("the home shard and a sibling did not both start a task within 30s")
+	}
 	if agg.Failures != 0 || agg.Tasks != tasks {
 		t.Fatalf("tasks=%d failures=%d, want %d/0", agg.Tasks, agg.Failures, tasks)
 	}
@@ -129,7 +164,7 @@ func TestImbalancedWorkloadIsStolen(t *testing.T) {
 	}
 }
 
-// TestNoStealKeepsTasksHome pins down the A/B control: with Config.NoSteal
+// TestNoStealKeepsTasksHome pins down the A/B control: with WithNoSteal
 // the engine is the old static-placement scheduler — zero steals, and an
 // imbalanced workload stays exactly where affinity put it.
 func TestNoStealKeepsTasksHome(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"regions/internal/apps/appkit"
+	"regions/internal/core"
 	"regions/internal/metrics"
 )
 
@@ -52,7 +53,7 @@ func TestDeferredSweepRacesDeletes(t *testing.T) {
 		reg := metrics.NewRegistry()
 		engOpts := []Option{WithShards(4), WithMetrics(reg), WithIdleSweep(deferred)}
 		if deferred {
-			engOpts = append(engOpts, WithDeferredDelete(2, 0))
+			engOpts = append(engOpts, WithRuntime(core.Options{Safe: true, DeferredDelete: true, SweepBudget: 2}))
 		}
 		eng := NewEngine(engOpts...)
 		stop := make(chan struct{})

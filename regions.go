@@ -124,24 +124,21 @@ type System struct {
 // Option configures a System.
 type Option func(*config)
 
+// config is a System's construction-time shape: the runtime's core options
+// plus the machine and observability attachments New installs around it.
 type config struct {
-	unsafe         bool
-	cache          bool
-	deferredDelete bool
-	sweepBudget    int
-	sweepHighWater int
-	noStrPool      bool
-	strPoolMax     int
-	pageLimit      int
-	faultPlan      *mem.FaultPlan
-	tracer         *trace.Tracer
-	metrics        *metrics.Registry
+	rt        core.Options
+	cache     bool
+	pageLimit int
+	faultPlan *mem.FaultPlan
+	tracer    *trace.Tracer
+	metrics   *metrics.Registry
 }
 
 // Unsafe disables all reference counting, stack scanning, and cleanups, as
 // in the paper's unsafe region library: DeleteRegion always succeeds, even
 // with live external references.
-func Unsafe() Option { return func(c *config) { c.unsafe = true } }
+func Unsafe() Option { return func(c *config) { c.rt.Safe = false } }
 
 // WithCache attaches the UltraSparc-I cache model so the counters include
 // read- and write-stall cycles.
@@ -154,28 +151,28 @@ func WithCache() Option { return func(c *config) { c.cache = true } }
 // bounded slices (SweepSlice, SweepDrain) or automatically, one slice per
 // page acquisition, whenever debt exceeds the high-water mark. The
 // allocation address stream is bit-identical to synchronous deletion.
-func DeferredDelete() Option { return func(c *config) { c.deferredDelete = true } }
+func DeferredDelete() Option { return func(c *config) { c.rt.DeferredDelete = true } }
 
 // WithSweepBudget caps the pages one sweep slice poisons (default 32). Only
 // meaningful together with DeferredDelete.
-func WithSweepBudget(pages int) Option { return func(c *config) { c.sweepBudget = pages } }
+func WithSweepBudget(pages int) Option { return func(c *config) { c.rt.SweepBudget = pages } }
 
 // WithSweepHighWater sets the sweep-debt page count above which every page
 // acquisition first runs one sweep slice (default 8x the budget). Only
 // meaningful together with DeferredDelete.
-func WithSweepHighWater(pages int) Option { return func(c *config) { c.sweepHighWater = pages } }
+func WithSweepHighWater(pages int) Option { return func(c *config) { c.rt.SweepHighWater = pages } }
 
 // NoStrPool disables the pooled string allocator's free lists: FreeStr
 // still retires a block's accounting, but the memory waits for region
 // deletion instead of being parked for reuse. The escape hatch exists for
 // A/B comparison — AllocStr's semantics and, for a program that never
 // frees, its exact address stream are identical with pooling on or off.
-func NoStrPool() Option { return func(c *config) { c.noStrPool = true } }
+func NoStrPool() Option { return func(c *config) { c.rt.NoStrPool = true } }
 
 // WithStrPoolMax sets the pooled string allocator's capacity-class ceiling
 // in bytes (default 2048, rounded up to a power of two). Frees above the
 // ceiling are accounting-only and allocations above it are counted "Big".
-func WithStrPoolMax(bytes int) Option { return func(c *config) { c.strPoolMax = bytes } }
+func WithStrPoolMax(bytes int) Option { return func(c *config) { c.rt.StrPoolMax = bytes } }
 
 // WithPageLimit caps the simulated OS at the given number of 4 KB pages
 // from the first allocation on, exactly as calling SetPageLimit right after
@@ -201,7 +198,7 @@ func WithMetrics(reg *MetricsRegistry) Option { return func(c *config) { c.metri
 
 // New creates a System.
 func New(opts ...Option) *System {
-	var cfg config
+	cfg := config{rt: core.Options{Safe: true}}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -210,14 +207,7 @@ func New(opts ...Option) *System {
 	if cfg.cache {
 		sp.AttachCache(cachesim.New(cachesim.UltraSparcI()))
 	}
-	rt := core.NewRuntimeOpts(sp, core.Options{
-		Safe:           !cfg.unsafe,
-		DeferredDelete: cfg.deferredDelete,
-		SweepBudget:    cfg.sweepBudget,
-		SweepHighWater: cfg.sweepHighWater,
-		NoStrPool:      cfg.noStrPool,
-		StrPoolMax:     cfg.strPoolMax,
-	})
+	rt := core.NewRuntimeOpts(sp, cfg.rt)
 	s := &System{rt: rt, sp: sp}
 	if cfg.pageLimit > 0 {
 		s.SetPageLimit(cfg.pageLimit)
