@@ -21,6 +21,9 @@
 // GET /metrics is a Prometheus text-format scrape of the shared registry and
 // GET /heap is a JSON array of the latest per-shard heap profiles (see
 // docs/OBSERVABILITY.md).
+//
+// Any mode accepts -cpuprofile FILE, which writes a runtime/pprof CPU
+// profile of the whole run for `go tool pprof`.
 package main
 
 import (
@@ -28,6 +31,7 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"runtime/pprof"
 	"sync/atomic"
 
 	"regions/internal/bench"
@@ -53,6 +57,7 @@ func main() {
 			"allowed fractional sim-cycle increase per micro benchmark before -compare fails")
 		metAddr  = flag.String("metrics-addr", "", "serve /metrics and /heap on this address during throughput runs")
 		profEach = flag.Int("heap-profile-every", 64, "shard heap-profile cadence in tasks when -metrics-addr is set (0 disables)")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	)
 	flag.Parse()
 
@@ -60,15 +65,15 @@ func main() {
 	// should fail in milliseconds, not after the paper-sized workloads.
 	if *scaleDiv < 1 {
 		fmt.Fprintf(os.Stderr, "regionbench: -scale-div must be at least 1, got %d\n", *scaleDiv)
-		os.Exit(2)
+		exit(2)
 	}
 	if *table < 0 || *table > 3 {
 		fmt.Fprintf(os.Stderr, "regionbench: tables are 1-3, got %d\n", *table)
-		os.Exit(2)
+		exit(2)
 	}
 	if *figure != 0 && (*figure < 8 || *figure > 11) {
 		fmt.Fprintf(os.Stderr, "regionbench: figures are 8-11, got %d\n", *figure)
-		os.Exit(2)
+		exit(2)
 	}
 	// -shards 0 is the "disabled" default; spelling it out explicitly is a
 	// mistake worth naming, as is any negative count.
@@ -80,23 +85,23 @@ func main() {
 	})
 	if *shards < 0 || (explicitShards && *shards == 0) {
 		fmt.Fprintf(os.Stderr, "regionbench: -shards must be at least 1, got %d\n", *shards)
-		os.Exit(2)
+		exit(2)
 	}
 	if *repeats < 1 {
 		fmt.Fprintf(os.Stderr, "regionbench: -repeats must be at least 1, got %d\n", *repeats)
-		os.Exit(2)
+		exit(2)
 	}
 	if *profEach < 0 {
 		fmt.Fprintf(os.Stderr, "regionbench: -heap-profile-every must be at least 0, got %d\n", *profEach)
-		os.Exit(2)
+		exit(2)
 	}
 	if *compare != "" && *benchOut != "" {
 		fmt.Fprintln(os.Stderr, "regionbench: -compare and -bench-out are mutually exclusive")
-		os.Exit(2)
+		exit(2)
 	}
 	if *compThr < 0 {
 		fmt.Fprintf(os.Stderr, "regionbench: -compare-threshold must be at least 0, got %g\n", *compThr)
-		os.Exit(2)
+		exit(2)
 	}
 	// Load (and validate) the old report before measuring anything, so a
 	// missing file or wrong schema_version fails in milliseconds.
@@ -105,8 +110,16 @@ func main() {
 		var err error
 		if oldReport, err = bench.LoadReport(*compare); err != nil {
 			fmt.Fprintln(os.Stderr, "regionbench:", err)
-			os.Exit(2)
+			exit(2)
 		}
+	}
+
+	if *cpuProf != "" {
+		if err := startCPUProfile(*cpuProf); err != nil {
+			fmt.Fprintln(os.Stderr, "regionbench:", err)
+			exit(1)
+		}
+		defer stopProfile()
 	}
 
 	s := bench.NewSuite(*scaleDiv)
@@ -119,7 +132,7 @@ func main() {
 		rep, err := bench.BuildBenchReportOpts(*scaleDiv, *repeats, opts)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "regionbench:", err)
-			os.Exit(1)
+			exit(1)
 		}
 		fmt.Fprintf(w, "comparing against %s\n", *compare)
 		regressions := bench.CompareReports(w, oldReport, rep, *compThr)
@@ -128,7 +141,7 @@ func main() {
 			for _, r := range regressions {
 				fmt.Fprintf(os.Stderr, "  %s\n", r)
 			}
-			os.Exit(1)
+			exit(1)
 		}
 		fmt.Fprintln(w, "\nno regressions")
 		return
@@ -137,20 +150,20 @@ func main() {
 		f, err := os.Create(*benchOut)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "regionbench:", err)
-			os.Exit(1)
+			exit(1)
 		}
 		rep, err := bench.BuildBenchReportOpts(*scaleDiv, *repeats, opts)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "regionbench:", err)
-			os.Exit(1)
+			exit(1)
 		}
 		if err := bench.EncodeBenchReport(f, rep); err != nil {
 			fmt.Fprintln(os.Stderr, "regionbench:", err)
-			os.Exit(1)
+			exit(1)
 		}
 		if err := f.Close(); err != nil {
 			fmt.Fprintln(os.Stderr, "regionbench:", err)
-			os.Exit(1)
+			exit(1)
 		}
 		fmt.Fprintf(w, "wrote %s\n", *benchOut)
 		return
@@ -159,7 +172,7 @@ func main() {
 		r, err := bench.RunThroughputOpts(*shards, *scaleDiv, *repeats, opts)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "regionbench:", err)
-			os.Exit(1)
+			exit(1)
 		}
 		bench.PrintThroughput(w, r)
 		if reg != nil {
@@ -175,14 +188,14 @@ func main() {
 	if *all {
 		if err := bench.RunAll(w, s); err != nil {
 			fmt.Fprintln(os.Stderr, "regionbench:", err)
-			os.Exit(1)
+			exit(1)
 		}
 		return
 	}
 	if *verify {
 		if err := s.VerifyChecksums(); err != nil {
 			fmt.Fprintln(os.Stderr, "regionbench:", err)
-			os.Exit(1)
+			exit(1)
 		}
 	}
 	if *ablation {
@@ -194,7 +207,7 @@ func main() {
 	if *jsonOut {
 		if err := bench.WriteJSON(w, s); err != nil {
 			fmt.Fprintln(os.Stderr, "regionbench:", err)
-			os.Exit(1)
+			exit(1)
 		}
 	}
 	switch *table {
@@ -215,6 +228,34 @@ func main() {
 	case 11:
 		bench.Figure11(w, s)
 	}
+}
+
+// stopProfile ends the -cpuprofile capture, if one is running.
+var stopProfile = func() {}
+
+// startCPUProfile profiles the rest of the run into path.
+func startCPUProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	stopProfile = func() {
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, "regionbench:", err)
+		}
+	}
+	return nil
+}
+
+// exit flushes the CPU profile, then exits with code.
+func exit(code int) {
+	stopProfile()
+	os.Exit(code)
 }
 
 // metricsOpts builds the throughput observability hooks. With an empty addr

@@ -7,6 +7,15 @@
 // leaky-bucket store buffer. Each simulated memory access is pushed through
 // Access, which returns the stall cycles that access causes. The model is
 // deterministic: the same access trace always yields the same stall counts.
+//
+// Each level keeps its tags in one flat slice, assoc consecutive entries
+// per set, most recently used first, so a direct-mapped level probes with
+// one compare. Hit is the inlinable L1 probe that Access starts with: on a
+// direct-mapped L1 hit it only counts the access. The store buffer is
+// drained lazily: a hit stalls nothing and only drains, and k successive
+// drain-and-clamp steps equal one step of k drains, so the drains owed
+// since the last miss are applied when the next miss arrives. Stall
+// returns and tallies are exactly those of draining on every access.
 package cachesim
 
 // Config describes the cache hierarchy. The zero value is not useful; use
@@ -24,9 +33,9 @@ type Config struct {
 	L2MissPenalty int // read-stall cycles on an L2 miss (memory access)
 
 	// Store buffer model: a write miss occupies the buffer for the relevant
-	// miss penalty; every access drains DrainPerAccess cycles of pending
-	// write work. When more than StoreBufferCap cycles of writes are
-	// pending, the processor stalls for the excess.
+	// miss penalty; every access drains DrainPerAccess (>= 0) cycles of
+	// pending write work. When more than StoreBufferCap cycles of writes
+	// are pending, the processor stalls for the excess.
 	StoreBufferCap int
 	DrainPerAccess int
 }
@@ -47,62 +56,58 @@ func UltraSparcI() Config {
 	}
 }
 
-type set struct {
-	tags []uint32 // line tags, most recently used first; 0 means empty
-}
-
 type level struct {
-	sets     []set
+	tags     []uint32 // assoc entries per set, most recently used first; 0 means empty
 	assoc    int
 	setShift uint // log2(lineSize)
 	setMask  uint32
 }
 
-func newLevel(size, assoc, lineSize int) *level {
+func newLevel(size, assoc, lineSize int) level {
 	nsets := size / (assoc * lineSize)
 	if nsets < 1 {
 		nsets = 1
 	}
-	l := &level{
-		sets:    make([]set, nsets),
+	l := level{
+		tags:    make([]uint32, nsets*assoc),
 		assoc:   assoc,
 		setMask: uint32(nsets - 1),
 	}
 	for s := lineSize; s > 1; s >>= 1 {
 		l.setShift++
 	}
-	for i := range l.sets {
-		l.sets[i].tags = make([]uint32, 0, assoc)
-	}
 	return l
 }
 
+// line returns addr's tag: the full line address plus one, so that 0 can
+// mean "empty".
+func (l *level) line(addr uint32) uint32 { return addr>>l.setShift + 1 }
+
 // access returns true on a hit, inserting the line on a miss.
-// Tags are the full line address plus one so that 0 can mean "empty".
 func (l *level) access(addr uint32) bool {
-	line := (addr >> l.setShift) + 1
-	s := &l.sets[line&l.setMask]
-	for i, t := range s.tags {
+	line := l.line(addr)
+	base := int(line&l.setMask) * l.assoc
+	ways := l.tags[base : base+l.assoc]
+	for i, t := range ways {
 		if t == line {
 			// Move to front (LRU).
-			copy(s.tags[1:i+1], s.tags[:i])
-			s.tags[0] = line
+			copy(ways[1:i+1], ways[:i])
+			ways[0] = line
 			return true
 		}
 	}
-	if len(s.tags) < l.assoc {
-		s.tags = append(s.tags, 0)
-	}
-	copy(s.tags[1:], s.tags)
-	s.tags[0] = line
+	// Evict the least recently used way (or an empty one: empties trail).
+	copy(ways[1:], ways)
+	ways[0] = line
 	return false
 }
 
 // Cache is a two-level cache plus store-buffer model.
 type Cache struct {
 	cfg     Config
-	l1, l2  *level
-	pending int // cycles of write work queued in the store buffer
+	l1, l2  level
+	pending int    // cycles of write work queued in the store buffer
+	drained uint64 // Reads+Writes when the store buffer was last drained
 
 	Reads       uint64
 	Writes      uint64
@@ -121,29 +126,60 @@ func New(cfg Config) *Cache {
 	}
 }
 
+// Hit is the fast probe Access starts with. For a direct-mapped L1 that
+// holds addr's line it counts the read or write and returns true: the
+// access stalls nothing, and its store-buffer drain is applied lazily by
+// the next miss. Otherwise it returns false and records nothing, and the
+// caller must complete the access with Access.
+func (c *Cache) Hit(addr uint32, write bool) bool {
+	line := c.l1.line(addr)
+	if c.l1.assoc != 1 || c.l1.tags[line&c.l1.setMask] != line {
+		return false
+	}
+	if write {
+		c.Writes++
+	} else {
+		c.Reads++
+	}
+	return true
+}
+
 // Access simulates one memory access and returns (readStall, writeStall)
 // cycles caused by it. Both caches are write-allocate, so reads and writes
 // probe identically; only the stall attribution differs.
 func (c *Cache) Access(addr uint32, write bool) (readStall, writeStall uint64) {
-	// Drain the store buffer.
-	c.pending -= c.cfg.DrainPerAccess
-	if c.pending < 0 {
-		c.pending = 0
+	if c.Hit(addr, write) {
+		return 0, 0
+	}
+	if write {
+		c.Writes++
+	} else {
+		c.Reads++
+	}
+	if c.l1.access(addr) {
+		// An associative L1 hit: like a direct-mapped one, it only drains.
+		return 0, 0
 	}
 
-	penalty := 0
-	if !c.l1.access(addr) {
-		c.L1Misses++
-		if c.l2.access(addr) {
-			penalty = c.cfg.L1MissPenalty
-		} else {
-			c.L2Misses++
-			penalty = c.cfg.L2MissPenalty
-		}
+	// Apply the drains of every access since the last miss, this one
+	// included. Each would have been pending = max(0, pending-Drain); with
+	// Drain >= 0 the composition is one clamp of their sum.
+	n := c.Reads + c.Writes
+	if d := (n - c.drained) * uint64(c.cfg.DrainPerAccess); d >= uint64(c.pending) {
+		c.pending = 0
+	} else {
+		c.pending -= int(d)
+	}
+	c.drained = n
+
+	c.L1Misses++
+	penalty := c.cfg.L1MissPenalty
+	if !c.l2.access(addr) {
+		c.L2Misses++
+		penalty = c.cfg.L2MissPenalty
 	}
 
 	if write {
-		c.Writes++
 		// The write's miss handling is buffered; the processor only stalls
 		// if the buffer overflows.
 		c.pending += penalty
@@ -155,7 +191,6 @@ func (c *Cache) Access(addr uint32, write bool) (readStall, writeStall uint64) {
 		}
 		return 0, 0
 	}
-	c.Reads++
 	c.ReadStalls += uint64(penalty)
 	return uint64(penalty), 0
 }

@@ -1,6 +1,9 @@
 package cachesim
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 func small() Config {
 	return Config{
@@ -142,4 +145,29 @@ func TestUltraSparcIConfig(t *testing.T) {
 	if r, w := c.Access(0x4000, false); r == 0 || w != 0 {
 		t.Fatalf("cold read stalls (%d,%d)", r, w)
 	}
+}
+
+// BenchmarkCacheAccess measures the host cost of one simulated access on
+// the paper's machine. The trace mostly walks words sequentially and
+// jumps to a random spot in 1 MB one access in 32, so most accesses hit
+// L1, as in the paper's applications.
+func BenchmarkCacheAccess(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	tr := make([]access, 1<<16)
+	addr := uint32(0)
+	for i := range tr {
+		if rng.Intn(32) == 0 {
+			addr = uint32(rng.Intn(1<<20)) &^ 3
+		} else {
+			addr += 4
+		}
+		tr[i] = access{addr, rng.Intn(4) == 0}
+	}
+	c := New(UltraSparcI())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a := tr[i&(len(tr)-1)]
+		c.Access(a.addr, a.write)
+	}
+	b.ReportMetric(float64(c.L1Misses)/float64(c.Reads+c.Writes), "l1-misses/access")
 }

@@ -14,6 +14,7 @@ package mem
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"regions/internal/cachesim"
@@ -55,7 +56,15 @@ type page struct {
 // Space is one simulated address space. It is not safe for concurrent use;
 // each experiment run owns its own Space.
 type Space struct {
-	pages []*page // index = page number; nil entries are unmapped
+	pages []*page // index = page number; page 0 is reserved and nil
+
+	// Fast-path state for Load and Store, refreshed by refresh whenever
+	// an input changes. fastWords is the number of words in pages
+	// [1, len(pages)) while charging is on, and 0 otherwise; cyc and cost
+	// are the current mode's cycle counter and per-access charge.
+	fastWords uint32
+	cyc       *uint64
+	cost      uint64
 
 	mappedBytes uint64
 
@@ -85,10 +94,27 @@ type Space struct {
 // NewSpace returns an empty address space whose accesses are charged to c.
 // Page 0 is reserved so that address 0 stays invalid.
 func NewSpace(c *stats.Counters) *Space {
-	return &Space{
+	s := &Space{
 		pages:  make([]*page, 1, 1024),
 		c:      c,
 		charge: true,
+	}
+	s.refresh()
+	return s
+}
+
+// refresh recomputes the fast-path state after the mode, charging or the
+// mapped pages change. The fast path reads the cache field directly.
+func (s *Space) refresh() {
+	s.fastWords = 0
+	if !s.charge || s.c == nil || uint(s.mode) >= uint(stats.NumModes) {
+		return // every access takes the slow path, which charges or panics
+	}
+	s.fastWords = uint32(len(s.pages)-1) * PageWords
+	s.cyc = &s.c.Cycles[s.mode]
+	s.cost = 1
+	if s.mode == stats.ModeApp {
+		s.cost = AppComputeFactor
 	}
 }
 
@@ -108,6 +134,7 @@ func (s *Space) Counters() *stats.Counters { return s.c }
 func (s *Space) SetMode(m stats.Mode) stats.Mode {
 	old := s.mode
 	s.mode = m
+	s.refresh()
 	return old
 }
 
@@ -146,6 +173,7 @@ func (s *Space) MapPages(n int) Addr {
 		s.pages = append(s.pages, &page{})
 	}
 	s.mappedBytes += uint64(n) * PageSize
+	s.refresh()
 	if s.met != nil {
 		s.met.pagesMapped.Add(uint64(n))
 		s.met.mappedBytes.Set(int64(s.mappedBytes))
@@ -156,12 +184,13 @@ func (s *Space) MapPages(n int) Addr {
 // Mapped reports whether a is inside a mapped page.
 func (s *Space) Mapped(a Addr) bool {
 	p := int(a >> PageShift)
-	return p > 0 && p < len(s.pages) && s.pages[p] != nil
+	return p > 0 && p < len(s.pages)
 }
 
 // NumPages returns the number of page slots, including the reserved page 0.
 func (s *Space) NumPages() int { return len(s.pages) }
 
+// access charges one access on the slow path.
 func (s *Space) access(a Addr, write bool) {
 	if !s.charge {
 		return
@@ -172,9 +201,7 @@ func (s *Space) access(a Addr, write bool) {
 		s.c.Cycles[s.mode]++
 	}
 	if s.cache != nil {
-		r, w := s.cache.Access(a, write)
-		s.c.ReadStalls += r
-		s.c.WriteStalls += w
+		s.stall(a, write)
 	}
 }
 
@@ -183,22 +210,55 @@ func (s *Space) page(a Addr) *page {
 		panic(fmt.Sprintf("mem: unaligned access at %#x", a))
 	}
 	p := int(a >> PageShift)
-	if p <= 0 || p >= len(s.pages) || s.pages[p] == nil {
+	if p <= 0 || p >= len(s.pages) {
 		panic(fmt.Sprintf("mem: access to unmapped address %#x", a))
 	}
 	return s.pages[p]
 }
 
+// fastIndex maps a to its word index counted from page 1. Rotating the
+// two alignment bits to the top makes an unaligned address, address 0 and
+// every address below PageSize index past fastWords, so one compare
+// against fastWords checks alignment, mapping and charging at once.
+func fastIndex(a Addr) uint32 { return bits.RotateLeft32(a-PageSize, -2) }
+
+// word returns the word at fast index i.
+func (s *Space) word(i uint32) *Word {
+	return &s.pages[i/PageWords+1].words[i%PageWords]
+}
+
 // Load returns the word at the 4-byte-aligned address a.
 func (s *Space) Load(a Addr) Word {
+	if i := fastIndex(a); i < s.fastWords {
+		*s.cyc += s.cost
+		if s.cache != nil && !s.cache.Hit(a, false) {
+			s.stall(a, false)
+		}
+		return *s.word(i)
+	}
 	s.access(a, false)
 	return s.page(a).words[(a%PageSize)/WordSize]
 }
 
 // Store writes v to the 4-byte-aligned address a.
 func (s *Space) Store(a Addr, v Word) {
+	if i := fastIndex(a); i < s.fastWords {
+		*s.cyc += s.cost
+		if s.cache != nil && !s.cache.Hit(a, true) {
+			s.stall(a, true)
+		}
+		*s.word(i) = v
+		return
+	}
 	s.access(a, true)
 	s.page(a).words[(a%PageSize)/WordSize] = v
+}
+
+// stall runs a through the cache model and adds the stalls it causes.
+func (s *Space) stall(a Addr, write bool) {
+	r, w := s.cache.Access(a, write)
+	s.c.ReadStalls += r
+	s.c.WriteStalls += w
 }
 
 // LoadByte returns the byte at address a (no alignment requirement).
@@ -268,6 +328,10 @@ func (s *Space) PoisonRange(a Addr, size int) {
 func (s *Space) Uncharged(f func()) {
 	old := s.charge
 	s.charge = false
-	defer func() { s.charge = old }()
+	s.refresh()
+	defer func() {
+		s.charge = old
+		s.refresh()
+	}()
 	f()
 }
