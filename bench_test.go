@@ -178,15 +178,20 @@ func TestAllocFastPathAllocsPerRun(t *testing.T) {
 
 // TestMeteredCountersUnchanged is the observability layers' core contract:
 // attaching a tracer and a metrics registry must not change the simulated
-// machine. A workload run bare and run fully instrumented must report
-// identical stats.Counters, cycle for cycle.
+// machine. A workload run bare and run under every attach combination —
+// none, tracer, registry, both, and both with one sink detached mid-run —
+// must report identical stats.Counters, cycle for cycle.
 func TestMeteredCountersUnchanged(t *testing.T) {
-	workload := func(sys *regions.System) {
+	const rounds = 200
+	workload := func(sys *regions.System, midway func()) {
 		cln := sys.SizeCleanup(16)
 		g := sys.AllocGlobals(4)
 		outer := sys.NewRegion()
 		f := sys.PushFrame(2)
-		for i := 0; i < 200; i++ {
+		for i := 0; i < rounds; i++ {
+			if i == rounds/2 {
+				midway()
+			}
 			r := sys.NewRegion()
 			f.Set(0, sys.Ralloc(r, 16, cln))
 			p := sys.Ralloc(r, 48, cln)
@@ -211,30 +216,85 @@ func TestMeteredCountersUnchanged(t *testing.T) {
 	}
 
 	bare := regions.New()
-	workload(bare)
+	workload(bare, func() {})
 
-	instrumented := regions.New()
-	instrumented.SetTracer(regions.NewTracer(1 << 12))
+	for _, tc := range []struct {
+		name            string
+		tracer, metered bool
+		detach          func(*regions.System) // run midway, nil for none
+	}{
+		{name: "none"},
+		{name: "tracer", tracer: true},
+		{name: "registry", metered: true},
+		{name: "both", tracer: true, metered: true},
+		{name: "both-detach-tracer", tracer: true, metered: true,
+			detach: func(s *regions.System) { s.SetTracer(nil) }},
+		{name: "both-detach-registry", tracer: true, metered: true,
+			detach: func(s *regions.System) { s.SetMetrics(nil) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys := regions.New()
+			if tc.tracer {
+				sys.SetTracer(regions.NewTracer(1 << 12))
+			}
+			reg := regions.NewMetricsRegistry()
+			reg.SetSiteSampling(8)
+			if tc.metered {
+				sys.SetMetrics(reg)
+			}
+			workload(sys, func() {
+				if tc.detach != nil {
+					tc.detach(sys)
+				}
+			})
+			if *bare.Counters() != *sys.Counters() {
+				t.Errorf("instrumented counters differ from bare run:\nbare:         %+v\ninstrumented: %+v",
+					*bare.Counters(), *sys.Counters())
+			}
+			if !tc.metered || sys.Metrics() == nil {
+				return
+			}
+			snap := reg.Snapshot()
+			// 5 allocations per loop iteration: three rallocs, one
+			// rstralloc, one rarrayalloc.
+			if v, _ := snap.Counter("regions_core_allocs_total"); v != rounds*5 {
+				t.Errorf("regions_core_allocs_total = %d, want %d", v, rounds*5)
+			}
+			if v, _ := snap.Counter("regions_core_barrier_sameregion_total"); v == 0 {
+				t.Error("sameregion barrier counter never incremented")
+			}
+			if _, err := sys.HeapProfile(); err != nil {
+				t.Errorf("HeapProfile after workload: %v", err)
+			}
+		})
+	}
+}
+
+// TestMetricsMidRunAttachSeedsLiveRegions: a registry attached to a System
+// that already holds regions seeds the live-region gauge, so deleting them
+// afterwards reads zero rather than going negative.
+func TestMetricsMidRunAttachSeedsLiveRegions(t *testing.T) {
+	sys := regions.New()
+	a, b := sys.NewRegion(), sys.NewRegion()
 	reg := regions.NewMetricsRegistry()
-	reg.SetSiteSampling(8)
-	instrumented.SetMetrics(reg)
-	workload(instrumented)
-
-	if *bare.Counters() != *instrumented.Counters() {
-		t.Errorf("instrumented counters differ from bare run:\nbare:         %+v\ninstrumented: %+v",
-			*bare.Counters(), *instrumented.Counters())
+	sys.SetMetrics(reg)
+	live := func() int64 {
+		v, _ := reg.Snapshot().Gauge("regions_core_live_regions")
+		return v
 	}
-	snap := reg.Snapshot()
-	// 5 allocations per loop iteration: three rallocs, one rstralloc, one
-	// rarrayalloc.
-	if v, _ := snap.Counter("regions_core_allocs_total"); v != 200*5 {
-		t.Errorf("regions_core_allocs_total = %d, want %d", v, 200*5)
+	if got := live(); got != 2 {
+		t.Fatalf("live regions after attach = %d, want 2", got)
 	}
-	if v, _ := snap.Counter("regions_core_barrier_sameregion_total"); v == 0 {
-		t.Error("sameregion barrier counter never incremented")
+	if !sys.DeleteRegion(a) || !sys.DeleteRegion(b) {
+		t.Fatal("delete refused")
 	}
-	if _, err := instrumented.HeapProfile(); err != nil {
-		t.Errorf("HeapProfile after workload: %v", err)
+	if got := live(); got != 0 {
+		t.Fatalf("live regions after deleting both = %d, want 0", got)
+	}
+	sys.NewRegion()
+	sys.SetMetrics(nil)
+	if got := live(); got != 0 {
+		t.Fatalf("live regions after detach = %d, want 0 (detach withdraws the system's share)", got)
 	}
 }
 

@@ -91,9 +91,8 @@ func (rt *Runtime) Destroy(p Ptr) {
 			"Destroy found a pointer into a deleted region", nil))
 	}
 	rt.rcDec(reg)
-	if rt.tracer != nil {
-		rt.tracer.Emit(trace.Event{Kind: trace.KindDestroy, Addr: p,
-			Region: reg.id, Aux: -1})
+	if o := rt.obs; o != nil {
+		o.event(trace.Event{Kind: trace.KindDestroy, Addr: p, Region: reg.id, Aux: -1})
 	}
 }
 
@@ -131,29 +130,23 @@ func (rt *Runtime) runCleanups(r *Region) {
 					fmt.Sprintf("corrupt object header %#x", hdr), nil))
 			}
 			fn := rt.cleanups[id-1].fn
+			obj, size, n := deleting+mem.WordSize, 0, -1
 			if hdr&arrayFlag != 0 {
-				n := int(rt.space.Load(deleting + 4))
+				n = int(rt.space.Load(deleting + 4))
 				esz := int(rt.space.Load(deleting + 8))
-				obj := deleting + 3*mem.WordSize
+				obj = deleting + 3*mem.WordSize
 				for i := 0; i < n; i++ {
 					fn(rt, obj+Ptr(i*esz))
 				}
-				if rt.tracer != nil {
-					rt.tracer.Emit(trace.Event{Kind: trace.KindCleanup,
-						Region: r.id, Addr: obj, Size: int32(n * esz),
-						Aux: int32(n), Site: rt.cleanups[id-1].name})
-				}
-				deleting += Ptr(3*mem.WordSize + n*esz)
+				size = n * esz
 			} else {
-				size := fn(rt, deleting+mem.WordSize)
-				if rt.tracer != nil {
-					rt.tracer.Emit(trace.Event{Kind: trace.KindCleanup,
-						Region: r.id, Addr: deleting + mem.WordSize,
-						Size: int32(align4(size)), Aux: -1,
-						Site: rt.cleanups[id-1].name})
-				}
-				deleting += Ptr(mem.WordSize + align4(size))
+				size = align4(fn(rt, obj))
 			}
+			if o := rt.obs; o != nil {
+				o.event(trace.Event{Kind: trace.KindCleanup, Region: r.id, Addr: obj,
+					Size: int32(size), Aux: int32(n), Site: rt.cleanups[id-1].name})
+			}
+			deleting = obj + Ptr(size)
 		}
 		entry = next
 	}

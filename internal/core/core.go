@@ -236,15 +236,13 @@ type Runtime struct {
 	// Pooled string allocator accounting (see strpool.go): strCeil is the
 	// capacity-class ceiling, strPooling whether free lists are in use
 	// (false under Options.NoStrPool), strNew/strReuse/strFreed the
-	// per-class counters, strBig the above-ceiling count, strSiteKeys the
-	// precomputed "str:<class>" census keys.
-	strCeil     int
-	strPooling  bool
-	strNew      []uint64
-	strReuse    []uint64
-	strFreed    []uint64
-	strBig      uint64
-	strSiteKeys []string
+	// per-class counters, strBig the above-ceiling count.
+	strCeil    int
+	strPooling bool
+	strNew     []uint64
+	strReuse   []uint64
+	strFreed   []uint64
+	strBig     uint64
 
 	cleanups     []cleanupEntry
 	sizeCleanups map[int]CleanupID
@@ -265,16 +263,11 @@ type Runtime struct {
 	// cleanup functions to measure object extents without touching counts.
 	verifying bool
 
-	// tracer, when non-nil, receives one event per runtime operation (see
-	// internal/trace and docs/OBSERVABILITY.md). Every emission site is
-	// guarded by a nil check so the untraced runtime pays one predicate.
-	tracer *trace.Tracer
-
-	// met, when non-nil, holds cached handles into a metrics registry (see
-	// metrics.go and internal/metrics). Same contract as tracer: every
-	// update site is nil-guarded, updates are host-side only, and a metered
-	// run's stats.Counters are identical to a bare run's.
-	met *runtimeMetrics
+	// obs is the one observation path (observe.go): nil unless a tracer or
+	// a metrics registry is attached, so an unobserved op pays one nil
+	// compare. Observation is host-side only; an observed run's
+	// stats.Counters are identical to a bare run's.
+	obs *observer
 }
 
 // NewRuntime creates a region runtime on the given space. If safe is false,
@@ -305,21 +298,6 @@ func (rt *Runtime) Safe() bool { return rt.safe }
 
 // Counters returns the statistics sink shared with the space.
 func (rt *Runtime) Counters() *stats.Counters { return rt.c }
-
-// SetTracer attaches t as the runtime's event sink (nil detaches). If t has
-// no clock yet, the runtime's modelled cycle count becomes its timestamp
-// source, so events line up with the paper's cycle accounting. Tracing
-// charges no simulated cycles.
-func (rt *Runtime) SetTracer(t *trace.Tracer) {
-	rt.tracer = t
-	if t != nil {
-		c := rt.c
-		t.InitClock(func() uint64 { return c.TotalCycles() })
-	}
-}
-
-// Tracer returns the attached tracer, or nil.
-func (rt *Runtime) Tracer() *trace.Tracer { return rt.tracer }
 
 // regionID maps a region to its event id (-1 for nil).
 func regionID(r *Region) int32 {
@@ -367,45 +345,41 @@ func (rt *Runtime) acquirePages(n int, r *Region) Ptr {
 		rt.sweepTaxSlice()
 	}
 	rt.charge(stats.ModeAlloc, 2) // list manipulation
+	p := rt.reusePages(n)
+	if p == 0 {
+		if p = rt.space.MapPages(n); p == 0 {
+			return 0
+		}
+	}
+	rt.notePages(p, n, r)
+	if o := rt.obs; o != nil {
+		o.pages(n, true, false)
+	}
+	return p
+}
+
+// reusePages takes n contiguous pages from the free lists and re-zeroes
+// them, or returns 0 when the lists cannot satisfy the request.
+func (rt *Runtime) reusePages(n int) Ptr {
+	var p Ptr
 	if n == 1 {
 		if len(rt.freePages) == 0 {
 			rt.refillPageCache()
 		}
 		if len(rt.freePages) > 0 {
-			p := rt.freePages[len(rt.freePages)-1]
+			p = rt.freePages[len(rt.freePages)-1]
 			rt.freePages = rt.freePages[:len(rt.freePages)-1]
-			rt.cancelDetached(p, 1)
-			rt.space.ZeroPageFree(p)
-			rt.notePages(p, 1, r)
-			rt.meterPagesAcquired(1)
-			return p
+		}
+	} else {
+		p = rt.spans.take(n)
+	}
+	if p != 0 {
+		rt.cancelDetached(p, n)
+		for i := 0; i < n; i++ {
+			rt.space.ZeroPageFree(p + Ptr(i)<<mem.PageShift)
 		}
 	}
-	if n > 1 {
-		if p := rt.spans.take(n); p != 0 {
-			rt.cancelDetached(p, n)
-			for i := 0; i < n; i++ {
-				rt.space.ZeroPageFree(p + Ptr(i)<<mem.PageShift)
-			}
-			rt.notePages(p, n, r)
-			rt.meterPagesAcquired(n)
-			return p
-		}
-	}
-	p := rt.space.MapPages(n)
-	if p == 0 {
-		return 0
-	}
-	rt.notePages(p, n, r)
-	rt.meterPagesAcquired(n)
 	return p
-}
-
-// meterPagesAcquired records n pages handed to a region, from any source.
-func (rt *Runtime) meterPagesAcquired(n int) {
-	if m := rt.met; m != nil {
-		m.pagesAcquired.Add(uint64(n))
-	}
 }
 
 // releaseEntry returns a page-list entry to the free lists and clears its
@@ -416,8 +390,8 @@ func (rt *Runtime) meterPagesAcquired(n int) {
 func (rt *Runtime) releaseEntry(first Ptr, n int) {
 	rt.charge(stats.ModeFree, uint64(1+n))
 	rt.notePages(first, n, nil)
-	if m := rt.met; m != nil {
-		m.pagesReleased.Add(uint64(n))
+	if o := rt.obs; o != nil {
+		o.pages(n, false, false)
 	}
 	for i := 0; i < n; i++ {
 		rt.space.PoisonPageFree(first + Ptr(i)<<mem.PageShift)
@@ -440,8 +414,8 @@ func (rt *Runtime) regionOf(p Ptr) (*Region, bool) {
 	pg := p >> mem.PageShift
 	if !rt.opts.NoRegionCache {
 		if e := &rt.lr[pg&(lrSize-1)]; e.page == pg {
-			if m := rt.met; m != nil {
-				m.lrHits.Inc()
+			if o := rt.obs; o != nil {
+				o.translate(true, true)
 			}
 			return e.r, true
 		}
@@ -453,12 +427,8 @@ func (rt *Runtime) regionOf(p Ptr) (*Region, bool) {
 	if !rt.opts.NoRegionCache {
 		rt.lr[pg&(lrSize-1)] = lrEntry{page: pg, r: r}
 	}
-	if m := rt.met; m != nil {
-		m.lrMisses.Inc()
-		m.lookups.Inc()
-		if r != nil {
-			m.lookupHits.Inc()
-		}
+	if o := rt.obs; o != nil {
+		o.translate(false, r != nil)
 	}
 	return r, false
 }
@@ -523,12 +493,8 @@ func (rt *Runtime) TryNewRegion() (*Region, error) {
 
 	r.born = rt.c.TotalCycles()
 	rt.c.RegionCreated()
-	if rt.tracer != nil {
-		rt.tracer.Emit(trace.Event{Kind: trace.KindRegionCreate, Region: r.id, Addr: hdr, Aux: -1})
-	}
-	if m := rt.met; m != nil {
-		m.regionsCreated.Inc()
-		m.liveRegions.Inc()
+	if o := rt.obs; o != nil {
+		o.event(trace.Event{Kind: trace.KindRegionCreate, Region: r.id, Addr: hdr, Aux: -1})
 	}
 	return r, nil
 }
@@ -645,16 +611,9 @@ func (rt *Runtime) TryRalloc(r *Region, size int, cln CleanupID) (Ptr, error) {
 	r.bytes += uint64(data)
 	r.allocs++
 	rt.c.AddAlloc(int64(data))
-	if rt.tracer != nil {
-		rt.tracer.Emit(trace.Event{Kind: trace.KindRalloc, Region: r.id,
-			Addr: p + mem.WordSize, Size: int32(data), Aux: -1,
-			Site: rt.cleanups[cln-1].name})
-	}
-	if m := rt.met; m != nil {
-		m.allocs.Inc()
-		m.allocBytes.Add(uint64(data))
-		m.allocSize.Observe(uint64(data))
-		m.reg.SampleAlloc(rt.cleanups[cln-1].name, uint64(data))
+	if o := rt.obs; o != nil {
+		o.event(trace.Event{Kind: trace.KindRalloc, Region: r.id, Addr: p + mem.WordSize,
+			Size: int32(data), Aux: -1, Site: rt.cleanups[cln-1].name})
 	}
 	return p + mem.WordSize, nil
 }
@@ -701,16 +660,9 @@ func (rt *Runtime) TryRarrayAlloc(r *Region, n, elemSize int, cln CleanupID) (Pt
 	r.bytes += uint64(data)
 	r.allocs++
 	rt.c.AddAlloc(int64(data))
-	if rt.tracer != nil {
-		rt.tracer.Emit(trace.Event{Kind: trace.KindRarrayAlloc, Region: r.id,
-			Addr: p + 3*mem.WordSize, Size: int32(data), Aux: int32(n),
-			Site: rt.cleanups[cln-1].name})
-	}
-	if m := rt.met; m != nil {
-		m.allocs.Inc()
-		m.allocBytes.Add(uint64(data))
-		m.allocSize.Observe(uint64(data))
-		m.reg.SampleAlloc(rt.cleanups[cln-1].name, uint64(data))
+	if o := rt.obs; o != nil {
+		o.event(trace.Event{Kind: trace.KindRarrayAlloc, Region: r.id, Addr: p + 3*mem.WordSize,
+			Size: int32(data), Aux: int32(n), Site: rt.cleanups[cln-1].name})
 	}
 	return p + 3*mem.WordSize, nil
 }
@@ -746,10 +698,7 @@ func (rt *Runtime) TryRstrAlloc(r *Region, size int) (Ptr, error) {
 	rt.charge(stats.ModeAlloc, 4)
 
 	data := align4(size)
-	idx := -1
-	if data <= rt.strCeil {
-		idx = strClassIdx(data)
-	}
+	idx := rt.strClass(data)
 	var p Ptr
 	if idx >= 0 && rt.strPooling {
 		p = rt.strPoolTake(r, idx, data)
@@ -772,26 +721,12 @@ func (rt *Runtime) TryRstrAlloc(r *Region, size int) (Ptr, error) {
 	r.bytes += uint64(data)
 	r.allocs++
 	rt.c.AddAlloc(int64(data))
-	if rt.tracer != nil {
-		aux := int32(-1)
+	if o := rt.obs; o != nil {
+		ev := trace.Event{Kind: trace.KindRstrAlloc, Region: r.id, Addr: p, Size: int32(data), Aux: -1}
 		if reused {
-			aux = 1
+			ev.Aux = 1
 		}
-		rt.tracer.Emit(trace.Event{Kind: trace.KindRstrAlloc, Region: r.id,
-			Addr: p, Size: int32(data), Aux: aux})
-	}
-	if m := rt.met; m != nil {
-		m.allocs.Inc()
-		m.allocBytes.Add(uint64(data))
-		m.allocSize.Observe(uint64(data))
-		if reused {
-			m.strReuse.Inc()
-		} else if idx >= 0 {
-			m.strNew.Inc()
-		} else {
-			m.strBig.Inc()
-		}
-		m.reg.SampleAlloc(rt.strSiteKey(idx), uint64(data))
+		o.event(ev)
 	}
 	return p, nil
 }
@@ -847,20 +782,15 @@ func (rt *Runtime) TryRstrFree(r *Region, p Ptr, size int) error {
 	}
 	r.bytes -= uint64(data)
 	rt.c.AddFree(int64(data))
-	if data <= rt.strCeil {
-		rt.strFreed[strClassIdx(data)]++
+	if idx := rt.strClass(data); idx >= 0 {
+		rt.strFreed[idx]++
 	}
-	if rt.tracer != nil {
-		aux := int32(0)
+	if o := rt.obs; o != nil {
+		ev := trace.Event{Kind: trace.KindRstrFree, Region: r.id, Addr: p, Size: int32(data)}
 		if pooled {
-			aux = 1
+			ev.Aux = 1
 		}
-		rt.tracer.Emit(trace.Event{Kind: trace.KindRstrFree, Region: r.id,
-			Addr: p, Size: int32(data), Aux: aux})
-	}
-	if m := rt.met; m != nil {
-		m.strFrees.Inc()
-		m.strFreeBytes.Add(uint64(data))
+		o.event(ev)
 	}
 	return nil
 }
@@ -902,35 +832,10 @@ func (rt *Runtime) TryDeleteRegion(r *Region) (bool, error) {
 	}
 
 	if rt.safe {
-		// Scan all frames but the active one; the active frame (which plays
-		// the role of deleteregion's own frame, not itself scanned) is
-		// counted temporarily so the reference count read below is exact.
-		// Under the EagerLocals ablation the count is always exact and no
-		// scanning happens.
-		var active *Frame
-		if !rt.opts.EagerLocals {
-			rt.stack.scanForDelete()
-			if n := len(rt.stack.frames); n > 0 {
-				active = rt.stack.frames[n-1]
-			}
-		}
-		mode := rt.space.SetMode(stats.ModeScan)
-		if active != nil {
-			rt.stack.countFrame(active, +1)
-		}
-		rc := rt.space.Load(r.hdr + offRC)
-		if active != nil {
-			rt.stack.countFrame(active, -1)
-		}
-		rt.space.SetMode(mode)
-		if rc != 0 {
+		if rc := rt.quiescedRC(r); rc != 0 {
 			rt.c.DeleteFails++
-			if rt.tracer != nil {
-				rt.tracer.Emit(trace.Event{Kind: trace.KindRegionDeleteFail,
-					Region: r.id, Aux: int32(rc)})
-			}
-			if m := rt.met; m != nil {
-				m.deleteFails.Inc()
+			if o := rt.obs; o != nil {
+				o.event(trace.Event{Kind: trace.KindRegionDeleteFail, Region: r.id, Aux: int32(rc)})
 			}
 			return false, nil
 		}
@@ -967,18 +872,9 @@ func (rt *Runtime) TryDeleteRegion(r *Region) (bool, error) {
 
 	r.deleted = true
 	rt.c.RegionDeleted(r.bytes)
-	if rt.tracer != nil {
-		bytes := r.bytes
-		if bytes > 1<<31-1 {
-			bytes = 1<<31 - 1
-		}
-		rt.tracer.Emit(trace.Event{Kind: trace.KindRegionDelete, Region: r.id,
-			Size: int32(bytes), Aux: int32(r.allocs)})
-	}
-	if m := rt.met; m != nil {
-		m.regionsDeleted.Inc()
-		m.liveRegions.Dec()
-		m.regionLifetime.Observe(rt.c.TotalCycles() - r.born)
+	if o := rt.obs; o != nil {
+		o.event(trace.Event{Kind: trace.KindRegionDelete, Region: r.id,
+			Size: int32(min(r.bytes, 1<<31-1)), Aux: int32(r.allocs)})
 	}
 	return true, nil
 }

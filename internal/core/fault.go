@@ -110,9 +110,8 @@ func (f *Fault) Unwrap() error { return f.Err }
 // Tracing charges no simulated cycles.
 func (rt *Runtime) fault(kind FaultKind, addr Ptr, region int32, ctx string, err error) *Fault {
 	f := &Fault{Kind: kind, Addr: addr, Region: region, Context: ctx, Err: err}
-	if rt.tracer != nil {
-		rt.tracer.Emit(trace.Event{Kind: trace.KindFault, Addr: addr,
-			Region: region, Aux: int32(kind), Site: kind.String()})
+	if o := rt.obs; o != nil {
+		o.event(trace.Event{Kind: trace.KindFault, Addr: addr, Region: region, Aux: int32(kind), Site: kind.String()})
 	}
 	return f
 }

@@ -173,19 +173,17 @@ func (rt *Runtime) ExportRegion(r *Region) (*RegionRecord, error) {
 
 	r.deleted = true
 	r.migrated = true
-	if rt.tracer != nil {
-		rt.tracer.Emit(trace.Event{Kind: trace.KindMigrate, Region: r.id,
-			Addr: rec.OldHdr, Size: int32(rec.Pages), Aux: 0})
-	}
-	if m := rt.met; m != nil {
-		m.liveRegions.Dec()
+	if o := rt.obs; o != nil {
+		o.event(trace.Event{Kind: trace.KindMigrate, Region: r.id, Addr: rec.OldHdr, Size: int32(rec.Pages), Aux: 0})
 	}
 	return rec, nil
 }
 
-// quiescedRC performs the exact reference-count read deleteregion's quiesce
-// check performs: scan all frames but the active one, temporarily count the
-// active frame, and read the region's count under ModeScan.
+// quiescedRC is deleteregion's exact reference-count read. All frames but
+// the active one are scanned; the active frame (which plays the role of
+// deleteregion's own frame, not itself scanned) is counted temporarily so
+// the count read under ModeScan is exact. Under the EagerLocals ablation the
+// count is always exact and no scanning happens.
 func (rt *Runtime) quiescedRC(r *Region) Word {
 	var active *Frame
 	if !rt.opts.EagerLocals {
@@ -477,12 +475,8 @@ func (rt *Runtime) ImportRegion(rec *RegionRecord) (*Region, error) {
 		rt.space.PoisonRange(np, int(b.Cap))
 		rt.strPoolPut(r, np, int(b.Cap))
 	}
-	if rt.tracer != nil {
-		rt.tracer.Emit(trace.Event{Kind: trace.KindMigrate, Region: r.id,
-			Addr: newHdr, Size: int32(rec.Pages), Aux: 1})
-	}
-	if m := rt.met; m != nil {
-		m.liveRegions.Inc()
+	if o := rt.obs; o != nil {
+		o.event(trace.Event{Kind: trace.KindMigrate, Region: r.id, Addr: newHdr, Size: int32(rec.Pages), Aux: 1})
 	}
 	return r, nil
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"regions/internal/mem"
 	"regions/internal/stats"
-	"regions/internal/trace"
 )
 
 // rcInc increments r's reference count. The count lives in the region's
@@ -12,8 +11,8 @@ import (
 func (rt *Runtime) rcInc(r *Region) {
 	v := rt.space.Load(r.hdr + offRC)
 	rt.space.Store(r.hdr+offRC, v+1)
-	if m := rt.met; m != nil {
-		m.rcIncs.Inc()
+	if o := rt.obs; o != nil {
+		o.rc(+1)
 	}
 }
 
@@ -27,8 +26,8 @@ func (rt *Runtime) rcDec(r *Region) {
 			"reference count underflow", nil))
 	}
 	rt.space.Store(r.hdr+offRC, v-1)
-	if m := rt.met; m != nil {
-		m.rcDecs.Inc()
+	if o := rt.obs; o != nil {
+		o.rc(-1)
 	}
 }
 
@@ -53,11 +52,8 @@ func (rt *Runtime) StorePtr(slot, val Ptr) {
 		rt.space.Store(slot, val)
 		return
 	}
-	m := rt.met
-	var start uint64
-	if m != nil {
-		start = rt.c.TotalCycles()
-	}
+	o := rt.obs
+	start := o.clock()
 	old := rt.space.SetMode(stats.ModeRC)
 	rt.c.Barriers.Region++
 
@@ -107,23 +103,8 @@ func (rt *Runtime) StorePtr(slot, val Ptr) {
 	}
 	rt.space.Store(slot, val)
 	rt.space.SetMode(old)
-	if rt.tracer != nil {
-		kind := trace.KindBarrierRegion
-		if sameregion {
-			kind = trace.KindBarrierElided
-		}
-		rt.tracer.Emit(trace.Event{Kind: kind, Addr: slot,
-			Region: regionID(rnew), Aux: regionID(rold)})
-	}
-	if m != nil {
-		m.barrierRegion.Inc()
-		if sameregion {
-			m.barrierSame.Inc()
-		}
-		if fast {
-			m.barrierFast.Inc()
-		}
-		m.barrierCycles.Observe(rt.c.TotalCycles() - start)
+	if o != nil {
+		o.barrierRegion(slot, rold, rnew, sameregion, fast, start)
 	}
 }
 
@@ -135,11 +116,8 @@ func (rt *Runtime) StoreGlobalPtr(slot, val Ptr) {
 		rt.space.Store(slot, val)
 		return
 	}
-	m := rt.met
-	var start uint64
-	if m != nil {
-		start = rt.c.TotalCycles()
-	}
+	o := rt.obs
+	start := o.clock()
 	old := rt.space.SetMode(stats.ModeRC)
 	rt.charge(stats.ModeRC, globalWriteExtra)
 	rt.c.Barriers.Global++
@@ -157,13 +135,8 @@ func (rt *Runtime) StoreGlobalPtr(slot, val Ptr) {
 	}
 	rt.space.Store(slot, val)
 	rt.space.SetMode(old)
-	if rt.tracer != nil {
-		rt.tracer.Emit(trace.Event{Kind: trace.KindBarrierGlobal, Addr: slot,
-			Region: regionID(rnew), Aux: regionID(rold)})
-	}
-	if m != nil {
-		m.barrierGlobal.Inc()
-		m.barrierCycles.Observe(rt.c.TotalCycles() - start)
+	if o != nil {
+		o.barrierGlobal(slot, rold, rnew, start)
 	}
 }
 

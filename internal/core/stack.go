@@ -149,12 +149,8 @@ func (s *stack) scanForDelete() {
 		rt.c.SlotsScanned += uint64(len(f.slots))
 		s.countFrame(f, +1)
 		f.scanned = true
-		if rt.tracer != nil {
-			rt.tracer.Emit(trace.Event{Kind: trace.KindStackScan,
-				Region: -1, Size: int32(i), Aux: int32(len(f.slots))})
-		}
-		if m := rt.met; m != nil {
-			m.stackScans.Inc()
+		if o := rt.obs; o != nil {
+			o.event(trace.Event{Kind: trace.KindStackScan, Region: -1, Size: int32(i), Aux: int32(len(f.slots))})
 		}
 	}
 	if s.hwm < len(s.frames)-1 {
@@ -172,11 +168,7 @@ func (s *stack) unscan(f *Frame) {
 	rt.c.FramesUnscanned++
 	s.countFrame(f, -1)
 	f.scanned = false
-	if rt.tracer != nil {
-		rt.tracer.Emit(trace.Event{Kind: trace.KindStackUnscan,
-			Region: -1, Aux: int32(len(f.slots))})
-	}
-	if m := rt.met; m != nil {
-		m.stackUnscans.Inc()
+	if o := rt.obs; o != nil {
+		o.event(trace.Event{Kind: trace.KindStackUnscan, Region: -1, Aux: int32(len(f.slots))})
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/bits"
-	"strconv"
 
 	"regions/internal/mem"
 	"regions/internal/stats"
@@ -89,10 +88,10 @@ func strClassIdx(n int) int { return bits.Len32(uint32(n)) - 3 }
 func strClassSize(idx int) int { return strClassMin << idx }
 
 // initStrPool resolves the pool configuration at runtime construction: the
-// accounting ceiling (rounded up to a power of two), the per-class counter
-// slices, and the precomputed "str:<class>" census keys. The counters and
-// census keys are active even under Options.NoStrPool, so an A/B pair
-// reports comparable New/Big columns; only the free lists are disabled.
+// accounting ceiling (rounded up to a power of two) and the per-class
+// counter slices. The counters are active even under Options.NoStrPool, so
+// an A/B pair reports comparable New/Big columns; only the free lists are
+// disabled.
 func (rt *Runtime) initStrPool() {
 	max := rt.opts.StrPoolMax
 	if max <= 0 {
@@ -108,22 +107,15 @@ func (rt *Runtime) initStrPool() {
 	rt.strNew = make([]uint64, n)
 	rt.strReuse = make([]uint64, n)
 	rt.strFreed = make([]uint64, n)
-	keys := make([]string, n+1)
-	for i := 0; i < n; i++ {
-		keys[i] = "str:" + strconv.Itoa(strClassSize(i))
-	}
-	keys[n] = "str:big"
-	rt.strSiteKeys = keys
 }
 
-// strSiteKey returns the alloc-census key for class idx (-1 = above the
-// ceiling), so string-path sites rank separately from cleanup-named normal
-// sites in the sampled site profile.
-func (rt *Runtime) strSiteKey(idx int) string {
-	if idx < 0 {
-		return rt.strSiteKeys[len(rt.strSiteKeys)-1]
+// strClass returns the capacity class of an aligned string request of data
+// bytes, or -1 above the pool ceiling.
+func (rt *Runtime) strClass(data int) int {
+	if data > rt.strCeil {
+		return -1
 	}
-	return rt.strSiteKeys[idx]
+	return strClassIdx(data)
 }
 
 // strPoolTake pops a parked block of capacity >= data from r's class-idx
@@ -148,8 +140,8 @@ func (rt *Runtime) strPoolTake(r *Region, idx, data int) Ptr {
 			copy(list[n-1-i:], list[n-i:])
 			r.strPool[idx] = list[:n-1]
 			r.strPoolBytes -= uint64(b.cap)
-			if m := rt.met; m != nil {
-				m.strPoolBlocks[idx].Dec()
+			if o := rt.obs; o != nil {
+				o.strPool(idx, -1)
 			}
 			return b.p
 		}
@@ -165,8 +157,8 @@ func (rt *Runtime) strPoolPut(r *Region, p Ptr, cap int) {
 	idx := strClassIdx(cap)
 	r.strPool[idx] = append(r.strPool[idx], strBlock{p: p, cap: int32(cap)})
 	r.strPoolBytes += uint64(cap)
-	if m := rt.met; m != nil {
-		m.strPoolBlocks[idx].Inc()
+	if o := rt.obs; o != nil {
+		o.strPool(idx, +1)
 	}
 }
 
@@ -177,11 +169,9 @@ func (rt *Runtime) strPoolClear(r *Region) {
 	if r.strPool == nil {
 		return
 	}
-	if m := rt.met; m != nil {
+	if o := rt.obs; o != nil {
 		for idx, list := range r.strPool {
-			if len(list) > 0 {
-				m.strPoolBlocks[idx].Add(-int64(len(list)))
-			}
+			o.strPool(idx, -len(list))
 		}
 	}
 	r.strPool = nil

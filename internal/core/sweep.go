@@ -3,7 +3,6 @@ package core
 import (
 	"regions/internal/mem"
 	"regions/internal/stats"
-	"regions/internal/trace"
 )
 
 // This file is the deferred-reclamation tier (Options.DeferredDelete),
@@ -94,9 +93,8 @@ func (rt *Runtime) detachEntry(first Ptr, n int, r *Region) {
 	if rt.sweepDebt > rt.sweepPeak {
 		rt.sweepPeak = rt.sweepDebt
 	}
-	if m := rt.met; m != nil {
-		m.pagesReleased.Add(uint64(n))
-		m.sweepDebt.Set(int64(rt.sweepDebt))
+	if o := rt.obs; o != nil {
+		o.pages(n, false, true)
 	}
 	if n > 1 {
 		rt.spans.put(first, n)
@@ -123,10 +121,8 @@ func (rt *Runtime) cancelDetached(first Ptr, n int) {
 			cancelled++
 		}
 	}
-	if cancelled > 0 {
-		if m := rt.met; m != nil {
-			m.sweepDebt.Set(int64(rt.sweepDebt))
-		}
+	if o := rt.obs; o != nil && cancelled > 0 {
+		o.debtCancelled(cancelled)
 	}
 }
 
@@ -179,15 +175,8 @@ func (rt *Runtime) sweepSlice(budget int) int {
 	}
 	rt.sweptPages += uint64(swept)
 	rt.sweepSlices++
-	if rt.tracer != nil {
-		rt.tracer.Emit(trace.Event{Kind: trace.KindSweepSlice, Region: -1,
-			Size: int32(swept), Aux: int32(rt.sweepDebt)})
-	}
-	if m := rt.met; m != nil {
-		m.sweepSlices.Inc()
-		m.sweptPages.Add(uint64(swept))
-		m.sweepDebt.Set(int64(rt.sweepDebt))
-		m.sweepSliceCycles.Observe(rt.c.TotalCycles() - start)
+	if o := rt.obs; o != nil {
+		o.sweepSlice(swept, rt.sweepDebt, rt.c.TotalCycles()-start)
 	}
 	return swept
 }
@@ -195,21 +184,18 @@ func (rt *Runtime) sweepSlice(budget int) int {
 // sweepTaxSlice runs one sweep slice on behalf of a page acquisition — the
 // allocation tax — and accounts its cycles in sweepTaxCycles so they can be
 // attributed to "sweep" instead of the allocation phase they interrupted.
-// When a tracer is attached the tax pause is bracketed in a sweep span pair
-// (request -1: the pause belongs to the runtime, not to any one request —
-// the serving layer re-attributes it per request from the cycle accounting).
+// When a tracer is attached the observer brackets the tax pause in a sweep
+// span pair.
 func (rt *Runtime) sweepTaxSlice() {
 	start := rt.c.TotalCycles()
-	if rt.tracer != nil {
-		rt.tracer.Emit(trace.SpanBegin(trace.SpanSweep, -1, -1, start))
-	}
-	swept := rt.sweepSlice(0)
-	end := rt.c.TotalCycles()
-	if rt.tracer != nil {
-		rt.tracer.Emit(trace.SpanEnd(trace.SpanSweep, -1, -1, end))
+	var swept int
+	if o := rt.obs; o != nil {
+		swept = o.sweepTax(start)
+	} else {
+		swept = rt.sweepSlice(0)
 	}
 	if swept > 0 {
-		rt.sweepTaxCycles += end - start
+		rt.sweepTaxCycles += rt.c.TotalCycles() - start
 		rt.sweepTaxSlices++
 	}
 }

@@ -1,11 +1,15 @@
 // Package metrics is the always-on telemetry layer of the region runtime: a
 // low-overhead registry of atomic counters, gauges, and fixed-bucket
 // histograms, populated by every layer of the stack (internal/core,
-// internal/mem, internal/gc, internal/shard) behind the same nil-guarded
-// hook pattern as internal/trace — a runtime without a registry pays one
-// predicate per operation and nothing else, and a metered run reports the
-// same stats.Counters as a bare one, because metric updates are host-side
-// bookkeeping outside the simulated machine model.
+// internal/mem, internal/gc, internal/shard). The region runtime reaches it
+// through one observer per runtime, shared with internal/trace: each op
+// emits one event value that the tracer rings and the registry folds into
+// its series, so the two cannot disagree. A runtime with neither sink pays
+// one nil compare per operation and nothing else, and a metered run reports
+// the same stats.Counters as a bare one, because metric updates are
+// host-side bookkeeping outside the simulated machine model. Several
+// runtimes may share one registry: their gauges add up, each runtime
+// contributing its own level from the moment it attaches.
 //
 // The aggregate counters of internal/stats answer the paper's questions
 // after a run ends; this package answers "what is the runtime doing right
