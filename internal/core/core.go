@@ -920,7 +920,7 @@ func (r *Region) Migrated() bool { return r.migrated }
 
 // LiveRegions returns the runtime's live (not deleted, not migrated-away)
 // regions in creation order. Host-side only: it charges no simulated cycles
-// and exists for migration coordinators and diagnostics.
+// and exists for migration drivers and diagnostics.
 func (rt *Runtime) LiveRegions() []*Region {
 	var out []*Region
 	for _, r := range rt.regions {

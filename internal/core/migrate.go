@@ -34,7 +34,7 @@ import (
 // The export side leaves a tombstone: the handle is marked deleted+migrated
 // and every subsequent operation on it faults with FaultMigratedRegion, so a
 // stale handle is a diagnosable error rather than a silent touch of recycled
-// pages. Neither side runs Verify itself — the shard migration coordinator
+// pages. Neither side runs Verify itself — the shard engine's MigrateRegion
 // runs it on donor and receiver around the handoff, as do the tests.
 //
 // Caveats, both inherited from verifyRC's C@ discipline assumption: a

@@ -397,6 +397,28 @@ type shardState struct {
 	depthGauge *metrics.Gauge
 }
 
+// newShardState applies the per-shard setup to engine shard i before its
+// first task — the page limit, the fault plan, and the cleanup registrations
+// that sessions and migrated tenants need — and returns the driver's
+// bookkeeping for it, with its queue-depth gauge on reg.
+func (sv *server) newShardState(eng *shard.Engine, reg *metrics.Registry, i int) *shardState {
+	env := eng.Env(i)
+	if sv.cfg.PageLimit > 0 {
+		env.Space().SetPageLimit(sv.cfg.PageLimit)
+	}
+	if sv.cfg.FaultPlan != nil {
+		env.Space().SetFaultPlan(sv.cfg.FaultPlan)
+	}
+	return &shardState{
+		id:         i,
+		env:        env,
+		cln:        registerCleanups(env.Runtime()),
+		stats:      ShardStats{Shard: i},
+		firstSID:   -1,
+		depthGauge: reg.Gauge(fmt.Sprintf(`regions_serve_queue_depth{shard="%d"}`, i)),
+	}
+}
+
 // Run executes one serving run: draw the schedule, pin every session to its
 // home shard, serve, drain, verify every shard's heap, and report. The only
 // error returns are infrastructure failures (a task panic, a corrupt heap at
@@ -468,10 +490,6 @@ func Run(cfg Config) (*Result, error) {
 	// already held in the latency histogram.
 	before := reg.Snapshot()
 
-	// IdleSweep stays off: the engine's idle sweeping depends on wall-clock
-	// scheduling, which would make sweep progress (and so every latency
-	// percentile) nondeterministic. serveOne models idle sweeping on the
-	// simulated clock instead.
 	engOpts := []shard.Option{shard.WithShards(cfg.Shards), shard.WithMetrics(cfg.Metrics),
 		shard.WithRuntime(core.Options{
 			Safe:           true,
@@ -489,21 +507,7 @@ func Run(cfg Config) (*Result, error) {
 	eng := shard.NewEngine(engOpts...)
 	states := make([]*shardState, cfg.Shards)
 	for i := range states {
-		env := eng.Env(i)
-		if cfg.PageLimit > 0 {
-			env.Space().SetPageLimit(cfg.PageLimit)
-		}
-		if cfg.FaultPlan != nil {
-			env.Space().SetFaultPlan(cfg.FaultPlan)
-		}
-		states[i] = &shardState{
-			id:         i,
-			env:        env,
-			cln:        registerCleanups(env.Runtime()),
-			depthGauge: reg.Gauge(fmt.Sprintf(`regions_serve_queue_depth{shard="%d"}`, i)),
-		}
-		states[i].stats.Shard = i
-		states[i].firstSID = -1
+		states[i] = sv.newShardState(eng, reg, i)
 	}
 
 	keys := homeKeys(eng)
@@ -566,29 +570,14 @@ func Run(cfg Config) (*Result, error) {
 			sweepPhases = append(sweepPhases, peak)
 		}
 
-		if _, err := eng.Resize(cfg.ResizeTo); err != nil {
+		if err := eng.Resize(cfg.ResizeTo); err != nil {
 			return nil, fmt.Errorf("serve: resize to %d shards: %w", cfg.ResizeTo, err)
 		}
 		// New shards need the same per-shard setup the originals got —
 		// crucially the cleanup registrations, which ImportRegion requires
 		// on the receiving runtime before any tenant can migrate in.
 		for i := cfg.Shards; i < cfg.ResizeTo; i++ {
-			env := eng.Env(i)
-			if cfg.PageLimit > 0 {
-				env.Space().SetPageLimit(cfg.PageLimit)
-			}
-			if cfg.FaultPlan != nil {
-				env.Space().SetFaultPlan(cfg.FaultPlan)
-			}
-			st := &shardState{
-				id:         i,
-				env:        env,
-				cln:        registerCleanups(env.Runtime()),
-				depthGauge: reg.Gauge(fmt.Sprintf(`regions_serve_queue_depth{shard="%d"}`, i)),
-			}
-			st.stats.Shard = i
-			st.firstSID = -1
-			states = append(states, st)
+			states = append(states, sv.newShardState(eng, reg, i))
 		}
 		keys = homeKeys(eng)
 

@@ -22,21 +22,8 @@ func newDeque(capacity int) deque {
 	return deque{buf: make([]Task, capacity)}
 }
 
-// push appends t at the back; it reports false when the deque is full.
-func (d *deque) push(t Task) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.count == len(d.buf) {
-		return false
-	}
-	d.buf[(d.head+d.count)%len(d.buf)] = t
-	d.count++
-	return true
-}
-
 // pushN appends as many of ts as fit at the back, in order, and returns how
-// many it took — the batched-injection path, one lock round for a whole
-// group of tasks.
+// many it took — one lock round for a whole group of tasks.
 func (d *deque) pushN(ts []Task) int {
 	d.mu.Lock()
 	defer d.mu.Unlock()

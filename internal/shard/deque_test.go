@@ -20,11 +20,11 @@ func runID(t Task) uint32 { return t.Run(nil) }
 func TestDequeSequentialSemantics(t *testing.T) {
 	d := newDeque(4)
 	for i := uint32(0); i < 4; i++ {
-		if !d.push(idTask(i)) {
+		if d.pushN([]Task{idTask(i)}) != 1 {
 			t.Fatalf("push %d failed below capacity", i)
 		}
 	}
-	if d.push(idTask(99)) {
+	if d.pushN([]Task{idTask(99)}) != 0 {
 		t.Fatal("push succeeded on a full deque")
 	}
 	if !d.full() || d.len() != 4 {
@@ -114,7 +114,7 @@ func TestDequeConcurrentOwnerAndThieves(t *testing.T) {
 				}
 				i += 4
 			} else {
-				for !d.push(idTask(i)) {
+				for d.pushN([]Task{idTask(i)}) == 0 {
 					runtime.Gosched()
 				}
 				i++

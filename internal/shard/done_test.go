@@ -18,9 +18,10 @@ func TestDoneFIFOOnPinned(t *testing.T) {
 	var mu sync.Mutex
 	var order []int
 	var results []TaskResult
+	var batch []Task
 	for i := 0; i < n; i++ {
 		i := i
-		e.Submit(Task{
+		batch = append(batch, Task{
 			Name:     fmt.Sprintf("t%d", i),
 			Affinity: "pinned-home",
 			Pin:      true,
@@ -38,6 +39,7 @@ func TestDoneFIFOOnPinned(t *testing.T) {
 			},
 		})
 	}
+	e.SubmitBatch(batch)
 	e.Close()
 	if len(order) != n {
 		t.Fatalf("got %d Done calls, want %d", len(order), n)
@@ -72,12 +74,12 @@ func TestDoneSeesRunPanic(t *testing.T) {
 	e := NewEngine(WithShards(1))
 	var got TaskResult
 	done := false
-	e.Submit(Task{
+	e.SubmitBatch([]Task{{
 		Name: "boom",
 		Pin:  true,
 		Run:  func(appkit.RegionEnv) uint32 { panic("kaput") },
 		Done: func(res TaskResult) { got = res; done = true },
-	})
+	}})
 	agg := e.Close()
 	if !done {
 		t.Fatal("Done not called for failed task")
@@ -94,17 +96,17 @@ func TestDoneSeesRunPanic(t *testing.T) {
 // and counted as a failure instead of killing the worker goroutine.
 func TestDonePanicRecorded(t *testing.T) {
 	e := NewEngine(WithShards(1))
-	e.Submit(Task{
+	e.SubmitBatch([]Task{{
 		Name: "done-boom",
 		Run:  func(appkit.RegionEnv) uint32 { return 1 },
 		Done: func(TaskResult) { panic("callback kaput") },
-	})
+	}})
 	// A second task proves the worker survived the Done panic.
 	ran := false
-	e.Submit(Task{
+	e.SubmitBatch([]Task{{
 		Name: "after",
 		Run:  func(appkit.RegionEnv) uint32 { ran = true; return 2 },
-	})
+	}})
 	agg := e.Close()
 	if !ran {
 		t.Error("worker did not survive a panicking Done callback")

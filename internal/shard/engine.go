@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"regions/internal/apps/appkit"
 	"regions/internal/core"
@@ -72,18 +71,16 @@ type TaskResult struct {
 	StartCycles, EndCycles uint64
 }
 
-// Stats is one shard's tally, owned by the shard goroutine until it exits
-// (Close, or retirement by a shrinking Resize).
+// Stats is one shard's tally, owned by the shard goroutine until Close.
 type Stats struct {
 	Shard     int
 	Tasks     uint64
 	Failures  uint64
-	LastError string        // first line of the most recent task failure
-	Checksum  uint32        // sum of completed task checksums
-	Steals    uint64        // tasks this shard stole from siblings' deques
-	SimCycles uint64        // simulated cycles charged on this shard
-	OSBytes   uint64        // memory the shard requested from its OS
-	Busy      time.Duration // wall-clock time spent inside tasks
+	LastError string // first line of the most recent task failure
+	Checksum  uint32 // sum of completed task checksums
+	Steals    uint64 // tasks this shard stole from siblings' deques
+	SimCycles uint64 // simulated cycles charged on this shard
+	OSBytes   uint64 // memory the shard requested from its OS
 
 	// Deferred-reclamation tallies (core.Options.DeferredDelete only).
 	SweptPages       uint64 // pages the shard's sweeper poisoned
@@ -91,9 +88,8 @@ type Stats struct {
 	DrainSweepCycles uint64 // simulated cycles of the close-time debt drain
 }
 
-// Aggregate is the whole engine's tally after Close. When the engine was
-// resized, PerShard includes retired shards (sorted by shard id) and Shards
-// counts only the workers live at Close.
+// Aggregate is the whole engine's tally after Close, with PerShard in
+// shard order.
 type Aggregate struct {
 	Shards   int
 	Tasks    uint64
@@ -130,42 +126,30 @@ func newWorkerMetrics(reg *metrics.Registry, shard int) *workerMetrics {
 }
 
 type worker struct {
-	id      int // stable shard id; also the metric label and Env name
+	id      int // position in the worker set; also the metric label and Env name
 	env     *Env
 	dq      deque // stealable tasks: owner pops back, thieves take front
 	pinned  deque // pinned tasks: FIFO, never stolen
 	npinned atomic.Int64
 	stats   Stats
 
-	// retiring tells the worker to exit once its own queues are drained;
-	// done closes when its goroutine has exited. Set only by Resize.
-	retiring atomic.Bool
-	done     chan struct{}
-
-	// pubBusy and pubSteals publish the shard's simulated busy cycles and
-	// steal count after every task, regardless of metrics attachment, so
-	// the migration coordinator can watch load without a registry.
-	pubBusy   atomic.Uint64
-	pubSteals atomic.Uint64
-
 	met       *workerMetrics
 	profEvery int
 	lastProf  atomic.Value // *metrics.HeapReport
 }
 
-// Engine distributes tasks over N shard workers with work stealing: Submit
-// places a task on its home shard's deque (affinity hash, or round-robin),
-// the owner pops its own deque newest-first, and a worker that runs dry
-// takes the oldest task from the first non-empty sibling deque. Pinned
-// tasks never move. Submit and SubmitBatch may be called from any
-// goroutine; Close waits for the queues to drain and returns the tally.
+// Engine distributes tasks over N shard workers with work stealing:
+// SubmitBatch places each task on its home shard's deque (affinity hash, or
+// round-robin), the owner pops its own deque newest-first, and a worker that
+// runs dry takes the oldest task from the first non-empty sibling deque.
+// Pinned tasks never move. SubmitBatch may be called from any goroutine;
+// Close waits for the queues to drain and returns the tally.
 //
-// The worker set is dynamic: Resize grows it by starting fresh shards or
-// shrinks it by retiring the highest-indexed ones and migrating their
-// resident regions (see migrate.go). The live slice is published through an
-// atomic pointer, so Submit and the steal sweep always act on a consistent
-// snapshot; Resize must not race Submit/SubmitBatch/Close — the driver
-// quiesces submissions first (see Resize).
+// The worker set only grows: Resize appends fresh shards, so a worker's id
+// is its position for the engine's lifetime. The live slice is published
+// through an atomic pointer, so SubmitBatch and the steal sweep always act
+// on a consistent snapshot; Resize must not race SubmitBatch/Close — the
+// driver quiesces submissions first (see Resize).
 //
 // Sleep/wake protocol: e.stealable counts tasks sitting in stealable
 // deques engine-wide and each worker counts its own pinned backlog, both
@@ -185,16 +169,12 @@ type Engine struct {
 	cond   *sync.Cond
 	closed atomic.Bool
 
-	// Resize/Close serialization and retired-worker bookkeeping.
+	// resizeMu serializes Resize, MigrateRegion and Close.
 	resizeMu sync.Mutex
-	nextID   int
-	retired  []*worker
 
-	// Migration tallies and coordinator plumbing (see migrate.go).
+	// Migration tallies (see migrate.go).
 	migrations    atomic.Uint64
 	migratedPages atomic.Uint64
-	coordStop     chan struct{}
-	coordDone     chan struct{}
 	migTotal      *metrics.Counter
 	migPages      *metrics.Counter
 	migCycles     *metrics.Histogram
@@ -214,10 +194,6 @@ func NewEngine(opts ...Option) *Engine {
 	if s.runtime.PageBatch == 0 {
 		s.runtime.PageBatch = DefaultPageBatch
 	}
-	if s.placement == nil {
-		s.placement = defaultPlacement
-	}
-	s.idleSweep = s.idleSweep && s.runtime.DeferredDelete
 	e := &Engine{set: s}
 	e.cond = sync.NewCond(&e.mu)
 	if reg := s.metrics; reg != nil {
@@ -227,7 +203,7 @@ func NewEngine(opts ...Option) *Engine {
 	}
 	ws := make([]*worker, s.shards)
 	for i := range ws {
-		ws[i] = e.newWorker()
+		ws[i] = e.newWorker(i)
 	}
 	// Publish the full slice before starting anyone: a worker's steal sweep
 	// reads the whole worker set.
@@ -236,25 +212,17 @@ func NewEngine(opts ...Option) *Engine {
 		e.wg.Add(1)
 		go w.loop(e)
 	}
-	if s.migration.Enabled {
-		e.coordStop = make(chan struct{})
-		e.coordDone = make(chan struct{})
-		go e.coordinate(s.migration)
-	}
 	return e
 }
 
-// newWorker builds (but does not start) a worker from the engine's resolved
-// settings, assigning the next stable shard id.
-func (e *Engine) newWorker() *worker {
-	id := e.nextID
-	e.nextID++
+// newWorker builds (but does not start) worker id from the engine's
+// resolved settings.
+func (e *Engine) newWorker(id int) *worker {
 	w := &worker{
 		id:        id,
 		env:       NewEnv(shardName(id), e.set.runtime),
 		dq:        newDeque(queueCap),
 		pinned:    newDeque(queueCap),
-		done:      make(chan struct{}),
 		profEvery: e.set.heapProfileEvery,
 	}
 	if reg := e.set.metrics; reg != nil {
@@ -273,78 +241,71 @@ func (e *Engine) workers() []*worker { return *e.ws.Load() }
 // Shards returns the number of live workers.
 func (e *Engine) Shards() int { return len(e.workers()) }
 
-// Env returns shard i's environment (by position in the live worker set).
-// The worker goroutine owns its environment while tasks run, so callers may
-// touch it only before the first Submit (to install fault plans, page
-// limits, cleanups), from a task pinned to shard i, or after Close (to
-// Verify the drained heap).
+// Env returns shard i's environment. The worker goroutine owns its
+// environment while tasks run, so callers may touch it only before the
+// first SubmitBatch (to install fault plans, page limits, cleanups), from a
+// task pinned to shard i, or after Close (to Verify the drained heap).
 func (e *Engine) Env(i int) *Env { return e.workers()[i].env }
 
-// ShardFor returns the home shard index an affinity key maps to under the
-// engine's placement function (WithPlacement; FNV-1a mod shards by
-// default).
+// ShardFor returns the home shard index an affinity key maps to: FNV-1a
+// mod the current shard count.
 func (e *Engine) ShardFor(key string) int {
-	return e.set.placement(key, len(e.workers()))
+	return int(fnv32a(key) % uint32(len(e.workers())))
 }
 
-// homeWorker picks t's home worker from ws: the placement function when an
-// affinity key is set, round-robin otherwise.
-func (e *Engine) homeWorker(ws []*worker, t Task) *worker {
+// home picks the index of t's home shard among n: the affinity hash when a
+// key is set, round-robin otherwise.
+func (e *Engine) home(n int, t Task) int {
 	if t.Affinity != "" {
-		return ws[e.set.placement(t.Affinity, len(ws))]
+		return int(fnv32a(t.Affinity) % uint32(n))
 	}
-	return ws[int((e.rr.Add(1)-1)%uint32(len(ws)))]
+	return int((e.rr.Add(1) - 1) % uint32(n))
 }
 
-// Submit places t on its home shard's deque (the pinned queue when t.Pin
-// is set) and blocks only while that queue is full. Submitting after Close
-// panics, like writing to a closed pipe.
-func (e *Engine) Submit(t Task) {
+// Resize grows the live worker set to n shards by appending fresh shards
+// (ids continuing from the current count, new empty runtimes built from the
+// engine's settings) that immediately join placement and stealing. The
+// engine never shrinks: n below Shards() is refused with an error and the
+// engine left untouched; n equal to it is a no-op.
+//
+// Resize must not race SubmitBatch — the driver quiesces submission first
+// (internal/serve resizes at a phase barrier) — and, like Env, a grown
+// shard's environment may be set up directly until its first task.
+func (e *Engine) Resize(n int) error {
+	e.resizeMu.Lock()
+	defer e.resizeMu.Unlock()
 	if e.closed.Load() {
-		panic("shard: Submit after Close")
+		return fmt.Errorf("shard: Resize after Close")
 	}
-	w := e.homeWorker(e.workers(), t)
-	e.submitTo(w, t)
-}
-
-// submitTo places t on w's queue (pinned queue when t.Pin is set),
-// blocking while the queue is full. The internal entry point for targeting
-// a specific worker — migration uses it to pin export/import tasks to a
-// donor or receiver regardless of placement.
-func (e *Engine) submitTo(w *worker, t Task) {
-	q := &w.dq
-	if t.Pin {
-		q = &w.pinned
+	ws := e.workers()
+	if n < len(ws) {
+		return fmt.Errorf("shard: Resize(%d): the engine has %d shards and only grows", n, len(ws))
 	}
-	if !q.push(t) {
-		e.mu.Lock()
-		for !q.push(t) {
-			if e.closed.Load() {
-				e.mu.Unlock()
-				panic("shard: Submit after Close")
-			}
-			e.cond.Wait()
-		}
-		e.mu.Unlock()
+	grown := append([]*worker(nil), ws...)
+	for len(grown) < n {
+		grown = append(grown, e.newWorker(len(grown)))
 	}
-	e.noteQueued(w, t.Pin, 1)
+	e.ws.Store(&grown)
+	for _, w := range grown[len(ws):] {
+		e.wg.Add(1)
+		go w.loop(e)
+	}
+	return nil
 }
 
 // SubmitBatch submits tasks in order, grouped per destination queue so a
 // large injection pays one deque lock round and one wakeup per shard
 // instead of one per task. Order is preserved within each (shard, pinned)
 // queue — the only order the engine promises, since stealable tasks may be
-// rearranged by stealing anyway while pinned queues are FIFO.
+// rearranged by stealing anyway while pinned queues are FIFO. It blocks
+// only while a destination queue is full; submitting after Close panics,
+// like writing to a closed pipe.
 func (e *Engine) SubmitBatch(ts []Task) {
 	ws := e.workers()
 	steal := make([][]Task, len(ws))
 	pin := make([][]Task, len(ws))
-	index := make(map[*worker]int, len(ws))
-	for i, w := range ws {
-		index[w] = i
-	}
 	for _, t := range ts {
-		i := index[e.homeWorker(ws, t)]
+		i := e.home(len(ws), t)
 		if t.Pin {
 			pin[i] = append(pin[i], t)
 		} else {
@@ -357,11 +318,13 @@ func (e *Engine) SubmitBatch(ts []Task) {
 	}
 }
 
-// enqueue pushes ts onto q in order, blocking while the queue is full.
+// enqueue pushes ts onto q, one of w's two deques, in order, blocking
+// while the queue is full. Migration calls it directly to pin its
+// export/import tasks to a donor or receiver regardless of placement.
 func (e *Engine) enqueue(w *worker, q *deque, pinned bool, ts []Task) {
 	for len(ts) > 0 {
 		if e.closed.Load() {
-			panic("shard: Submit after Close")
+			panic("shard: SubmitBatch after Close")
 		}
 		n := q.pushN(ts)
 		if n == 0 {
@@ -369,7 +332,7 @@ func (e *Engine) enqueue(w *worker, q *deque, pinned bool, ts []Task) {
 			for q.full() {
 				if e.closed.Load() {
 					e.mu.Unlock()
-					panic("shard: Submit after Close")
+					panic("shard: SubmitBatch after Close")
 				}
 				e.cond.Wait()
 			}
@@ -409,10 +372,8 @@ func (e *Engine) wake() {
 // task on w's own deque (LIFO keeps the shard working what it was just
 // given), then — unless stealing is off — the oldest task of the first
 // non-empty sibling deque, sweeping rightward from w's own position in the
-// live worker set. A worker marked retiring exits (ok=false) as soon as
-// its own queues are dry instead of stealing or sleeping. Blocks while
-// nothing is runnable; ok=false otherwise means the engine is closed and
-// drained.
+// live worker set. Blocks while nothing is runnable; ok=false means the
+// engine is closed and drained.
 func (e *Engine) next(w *worker) (t Task, stolen, ok bool) {
 	for {
 		if t, ok := w.pinned.popFront(); ok {
@@ -425,41 +386,16 @@ func (e *Engine) next(w *worker) (t Task, stolen, ok bool) {
 			w.notePopped(w)
 			return t, false, true
 		}
-		if w.retiring.Load() {
-			return Task{}, false, false
-		}
 		if !e.set.noSteal {
-			// The live slice can change across iterations of the outer loop
-			// (Resize), so find our own position fresh each sweep; a worker
-			// no longer in the slice (mid-retirement) simply doesn't steal.
+			// Reload the live slice each sweep: Resize may have grown it.
 			ws := e.workers()
-			self := -1
-			for i, v := range ws {
-				if v == w {
-					self = i
-					break
+			for i := 1; i < len(ws); i++ {
+				v := ws[(w.id+i)%len(ws)]
+				if t, ok := v.dq.popFront(); ok {
+					e.stealable.Add(-1)
+					w.notePopped(v)
+					return t, true, true
 				}
-			}
-			if self >= 0 {
-				for i := 1; i < len(ws); i++ {
-					v := ws[(self+i)%len(ws)]
-					if t, ok := v.dq.popFront(); ok {
-						e.stealable.Add(-1)
-						w.notePopped(v)
-						return t, true, true
-					}
-				}
-			}
-		}
-		// Nothing runnable anywhere: spend the idle cycles on sweep debt,
-		// one bounded slice per pass so a task arriving mid-drain is picked
-		// up after at most one slice.
-		if e.set.idleSweep {
-			if rt := w.env.Runtime(); rt.SweepDebt() > 0 {
-				before := w.env.Counters().TotalCycles()
-				rt.SweepSlice()
-				e.emitSpan(trace.SpanSweep, w.id, before, w.env.Counters().TotalCycles())
-				continue
 			}
 		}
 		e.mu.Lock()
@@ -468,7 +404,7 @@ func (e *Engine) next(w *worker) (t Task, stolen, ok bool) {
 				(!e.set.noSteal && e.stealable.Load() > 0) {
 				break
 			}
-			if e.closed.Load() || w.retiring.Load() {
+			if e.closed.Load() {
 				e.mu.Unlock()
 				return Task{}, false, false
 			}
@@ -525,15 +461,9 @@ func (w *worker) captureHeapProfile() {
 	w.lastProf.Store(rep)
 }
 
-// Close drains every queue, stops the workers (and the migration
-// coordinator, if one is running), and returns the aggregated stats —
-// including shards retired by earlier Resize calls, sorted by shard id.
+// Close drains every queue, stops the workers, and returns the aggregated
+// stats.
 func (e *Engine) Close() Aggregate {
-	if e.coordStop != nil {
-		close(e.coordStop)
-		<-e.coordDone
-		e.coordStop = nil
-	}
 	e.resizeMu.Lock()
 	defer e.resizeMu.Unlock()
 	e.mu.Lock()
@@ -541,11 +471,9 @@ func (e *Engine) Close() Aggregate {
 	e.cond.Broadcast()
 	e.mu.Unlock()
 	e.wg.Wait()
-	live := e.workers()
-	all := append(append([]*worker(nil), e.retired...), live...)
-	sortWorkersByID(all)
-	agg := Aggregate{Shards: len(live)}
-	for _, w := range all {
+	ws := e.workers()
+	agg := Aggregate{Shards: len(ws)}
+	for _, w := range ws {
 		s := w.stats
 		agg.Tasks += s.Tasks
 		agg.Failures += s.Failures
@@ -575,19 +503,8 @@ func (e *Engine) Close() Aggregate {
 	return agg
 }
 
-// sortWorkersByID is an insertion sort (the slice is small and mostly
-// ordered: retired ids then live ids, each ascending).
-func sortWorkersByID(ws []*worker) {
-	for i := 1; i < len(ws); i++ {
-		for j := i; j > 0 && ws[j-1].id > ws[j].id; j-- {
-			ws[j-1], ws[j] = ws[j], ws[j-1]
-		}
-	}
-}
-
 func (w *worker) loop(e *Engine) {
 	defer e.wg.Done()
-	defer close(w.done)
 	var prevCycles uint64
 	for {
 		t, stolen, ok := e.next(w)
@@ -596,10 +513,8 @@ func (w *worker) loop(e *Engine) {
 		}
 		// A pop freed a deque slot; unblock any submitter waiting on it.
 		e.wake()
-		start := time.Now()
 		simBefore := w.env.Counters().TotalCycles()
 		sum, err := w.runTask(t)
-		w.stats.Busy += time.Since(start)
 		w.stats.Tasks++
 		if stolen {
 			w.stats.Steals++
@@ -615,8 +530,6 @@ func (w *worker) loop(e *Engine) {
 			w.stats.Checksum += sum
 		}
 		simAfter := w.env.Counters().TotalCycles()
-		w.pubBusy.Store(simAfter)
-		w.pubSteals.Store(w.stats.Steals)
 		if w.met != nil {
 			w.met.tasks.Inc()
 			if stolen {
@@ -692,7 +605,8 @@ func (w *worker) runDone(t Task, res TaskResult) {
 	t.Done(res)
 }
 
-// fnv32a is the 32-bit FNV-1a hash, inlined to keep Submit allocation-free.
+// fnv32a is the 32-bit FNV-1a hash, inlined to keep placement
+// allocation-free.
 func fnv32a(s string) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(s); i++ {

@@ -37,7 +37,7 @@ func TestMetricsUnderConcurrentScrape(t *testing.T) {
 
 	const tasks = 256
 	for i := 0; i < tasks; i++ {
-		eng.Submit(simpleTask(uint32(i)))
+		eng.SubmitBatch([]Task{simpleTask(uint32(i))})
 	}
 	agg := eng.Close()
 	close(stop)

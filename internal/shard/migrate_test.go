@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 
 	"regions/internal/apps/appkit"
 	"regions/internal/core"
+	"regions/internal/mem"
 	"regions/internal/metrics"
 )
 
@@ -19,7 +19,7 @@ import (
 func pinnedDo(e *Engine, i int, fn func(rt *core.Runtime)) error {
 	w := e.workers()[i]
 	done := make(chan error, 1)
-	e.submitTo(w, Task{
+	e.enqueue(w, &w.pinned, true, []Task{{
 		Name: "test-pinned",
 		Pin:  true,
 		Run: func(appkit.RegionEnv) uint32 {
@@ -27,7 +27,7 @@ func pinnedDo(e *Engine, i int, fn func(rt *core.Runtime)) error {
 			return 0
 		},
 		Done: func(res TaskResult) { done <- res.Err },
-	})
+	}})
 	return <-done
 }
 
@@ -69,10 +69,11 @@ func buildChain(rt *core.Runtime, nodes int) (*core.Region, uint32) {
 // region built on shard 0 moves to shard 1 with its content digest intact,
 // stays fully usable there, and the stale donor handle faults with
 // FaultMigratedRegion. Both runtimes Verify inside the migration tasks
-// themselves (exportOn/importOn), so a clean return already proves the
-// invariants held on each side.
+// themselves (onShard), so a clean return already proves the invariants
+// held on each side. The move is booked in the engine's migration series.
 func TestMigrateRegionMovesState(t *testing.T) {
-	eng := NewEngine(WithShards(2))
+	reg := metrics.NewRegistry()
+	eng := NewEngine(WithShards(2), WithMetrics(reg))
 	defer eng.Close()
 	registerSizeCleanups(t, eng, 8)
 
@@ -93,6 +94,16 @@ func TestMigrateRegionMovesState(t *testing.T) {
 	}
 	if count, pages := eng.Migrations(); count != 1 || pages != uint64(m.Pages) {
 		t.Fatalf("Migrations() = (%d, %d), want (1, %d)", count, pages, m.Pages)
+	}
+	snap := reg.Snapshot()
+	if c, _ := snap.Counter("regions_migrations_total"); c != 1 {
+		t.Errorf("regions_migrations_total = %d, want 1", c)
+	}
+	if c, _ := snap.Counter("regions_migrated_pages_total"); c != uint64(m.Pages) {
+		t.Errorf("regions_migrated_pages_total = %d, want %d", c, m.Pages)
+	}
+	if h, ok := snap.Histogram("regions_migration_cycles"); !ok || h.Count != 1 || h.Sum != m.Cycles || m.Cycles == 0 {
+		t.Errorf("regions_migration_cycles = %+v (present %v), want one observation of %d cycles", h, ok, m.Cycles)
 	}
 
 	if err := pinnedDo(eng, 1, func(rt *core.Runtime) {
@@ -276,10 +287,69 @@ func TestMigrateUnderLoad(t *testing.T) {
 	}
 }
 
-// TestResizeGrowAndShrink exercises both directions live: grow 2→4 with
-// work landing on the new shards, then shrink 4→1 with every resident
-// region evacuated into the survivor, digests intact, and retired shards'
-// stats joining the Close aggregate.
+// TestMigrateRegionRollbackKeepsRegion makes the receiver refuse the
+// import (its page limit leaves room for one more page, too few for the
+// region) and checks the rollback: the OOM surfaces typed, the returned
+// handle reaches the region restored on the donor with its content intact,
+// both heaps verify, and the handled refusal is no task failure.
+func TestMigrateRegionRollbackKeepsRegion(t *testing.T) {
+	eng := NewEngine(WithShards(2))
+	registerSizeCleanups(t, eng, 8)
+	var r *core.Region
+	var want uint32
+	if err := pinnedDo(eng, 0, func(rt *core.Runtime) {
+		r, want = buildChain(rt, 4000)
+	}); err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	if err := pinnedDo(eng, 1, func(rt *core.Runtime) {
+		sp := rt.Space()
+		sp.SetPageLimit(int(sp.MappedBytes()/mem.PageSize) + 1)
+	}); err != nil {
+		t.Fatalf("receiver page limit: %v", err)
+	}
+
+	m, err := eng.MigrateRegion(r, 0, 1)
+	if !errors.Is(err, mem.ErrOutOfMemory) {
+		t.Fatalf("MigrateRegion error %v, want mem.ErrOutOfMemory", err)
+	}
+	if m.New == nil || m.From != 0 || m.To != 0 {
+		t.Fatalf("rolled-back migration %+v, want the restored handle on shard 0", m)
+	}
+	if count, _ := eng.Migrations(); count != 0 {
+		t.Fatalf("Migrations() count = %d after a rollback, want 0", count)
+	}
+	if err := pinnedDo(eng, 0, func(rt *core.Runtime) {
+		if got := rt.ContentChecksum(m.New); got != want {
+			panic(fmt.Sprintf("restored digest %#x, want %#x", got, want))
+		}
+		if !rt.DeleteRegion(m.New) {
+			panic("restored region not deletable")
+		}
+		if err := rt.Verify(); err != nil {
+			panic(err)
+		}
+	}); err != nil {
+		t.Fatalf("donor after rollback: %v", err)
+	}
+	if err := pinnedDo(eng, 1, func(rt *core.Runtime) {
+		if err := rt.Verify(); err != nil {
+			panic(err)
+		}
+	}); err != nil {
+		t.Fatalf("receiver after refused import: %v", err)
+	}
+	if agg := eng.Close(); agg.Failures != 0 {
+		for _, s := range agg.PerShard {
+			t.Log(s.LastError)
+		}
+		t.Fatalf("%d task failures for a handled import refusal", agg.Failures)
+	}
+}
+
+// TestResizeGrowAndShrink grows 2→4 live, with work landing on the new
+// shards, and checks that every shrink is refused: the shard count and the
+// regions resident on the original shards stay as they were.
 func TestResizeGrowAndShrink(t *testing.T) {
 	eng := NewEngine(WithShards(2))
 
@@ -297,148 +367,83 @@ func TestResizeGrowAndShrink(t *testing.T) {
 		}
 	}
 
-	migs, err := eng.Resize(4)
-	if err != nil || len(migs) != 0 {
-		t.Fatalf("grow: migs=%v err=%v", migs, err)
+	if err := eng.Resize(4); err != nil {
+		t.Fatalf("grow: %v", err)
 	}
 	if eng.Shards() != 4 {
 		t.Fatalf("Shards() = %d after grow, want 4", eng.Shards())
 	}
-	// Pin one task directly onto each grown shard and confirm it runs there.
+	// Pin one task onto each grown shard through its affinity key and
+	// confirm it runs there.
 	done := make(chan int, 2)
+	var tasks []Task
 	for i := 2; i < 4; i++ {
 		tk := workTask(uint32(i), 8)
 		tk.Pin = true
+		tk.Affinity = keyFor(eng, i)
 		tk.Done = func(res TaskResult) { done <- res.Shard }
-		e := eng
-		e.submitTo(e.workers()[i], tk)
+		tasks = append(tasks, tk)
 	}
+	eng.SubmitBatch(tasks)
 	got := map[int]bool{<-done: true, <-done: true}
 	if !got[2] || !got[3] {
 		t.Fatalf("pinned tasks ran on shards %v, want the grown shards 2 and 3", got)
 	}
 
-	migs, err = eng.Resize(1)
-	if err != nil {
-		t.Fatalf("shrink: %v", err)
-	}
-	if eng.Shards() != 1 {
-		t.Fatalf("Shards() = %d after shrink, want 1", eng.Shards())
-	}
-	// Shard 1's traveler must have been evacuated into shard 0; shard 0's
-	// never moved.
-	moved := map[*core.Region]*Migration{}
-	for i := range migs {
-		moved[migs[i].Old] = &migs[i]
-	}
-	m1 := moved[tr[1].r]
-	if m1 == nil {
-		t.Fatalf("shard 1's region was not evacuated (migrations: %v)", migs)
-	}
-	if m1.To != 0 || m1.From != 1 {
-		t.Fatalf("evacuation went %d→%d, want 1→0", m1.From, m1.To)
-	}
-	if err := pinnedDo(eng, 0, func(rt *core.Runtime) {
-		if got := rt.ContentChecksum(m1.New); got != tr[1].want {
-			panic(fmt.Sprintf("evacuated digest %#x, want %#x", got, tr[1].want))
+	for _, n := range []int{3, 1, 0} {
+		if err := eng.Resize(n); err == nil {
+			t.Fatalf("Resize(%d) on a 4-shard engine accepted", n)
 		}
-		if got := rt.ContentChecksum(tr[0].r); got != tr[0].want {
-			panic(fmt.Sprintf("resident digest %#x, want %#x", got, tr[0].want))
+		if eng.Shards() != 4 {
+			t.Fatalf("Shards() = %d after refused Resize(%d), want 4", eng.Shards(), n)
 		}
-		if !rt.DeleteRegion(m1.New) || !rt.DeleteRegion(tr[0].r) {
-			panic("post-shrink regions not deletable")
-		}
-		if err := rt.Verify(); err != nil {
-			panic(err)
-		}
-	}); err != nil {
-		t.Fatalf("survivor-side checks: %v", err)
 	}
-
-	if _, err := eng.Resize(0); err == nil {
-		t.Fatal("Resize(0) accepted")
+	if err := eng.Resize(4); err != nil {
+		t.Fatalf("Resize to the current size: %v", err)
+	}
+	for i := range tr {
+		if err := pinnedDo(eng, i, func(rt *core.Runtime) {
+			if live := rt.LiveRegions(); len(live) != 1 || live[0] != tr[i].r {
+				panic(fmt.Sprintf("live regions %v, want only the resident chain", live))
+			}
+			if got := rt.ContentChecksum(tr[i].r); got != tr[i].want {
+				panic(fmt.Sprintf("resident digest %#x, want %#x", got, tr[i].want))
+			}
+			if !rt.DeleteRegion(tr[i].r) {
+				panic("resident region not deletable")
+			}
+			if err := rt.Verify(); err != nil {
+				panic(err)
+			}
+		}); err != nil {
+			t.Fatalf("shard %d after refused shrinks: %v", i, err)
+		}
 	}
 
 	agg := eng.Close()
-	if agg.Shards != 1 {
-		t.Fatalf("aggregate Shards = %d, want 1", agg.Shards)
-	}
-	if len(agg.PerShard) != 4 {
-		t.Fatalf("aggregate PerShard has %d entries, want 4 (retired included)", len(agg.PerShard))
-	}
-	for i, s := range agg.PerShard {
-		if s.Shard != i {
-			t.Fatalf("PerShard[%d].Shard = %d, want sorted ids", i, s.Shard)
-		}
+	if agg.Shards != 4 || len(agg.PerShard) != 4 {
+		t.Fatalf("aggregate Shards = %d with %d PerShard entries, want 4 and 4", agg.Shards, len(agg.PerShard))
 	}
 	var perShardTasks uint64
-	for _, s := range agg.PerShard {
+	for i, s := range agg.PerShard {
+		if s.Shard != i {
+			t.Fatalf("PerShard[%d].Shard = %d, want shard order", i, s.Shard)
+		}
 		perShardTasks += s.Tasks
 	}
-	if perShardTasks != agg.Tasks {
-		t.Fatalf("per-shard tasks sum %d != aggregate %d", perShardTasks, agg.Tasks)
+	if perShardTasks != agg.Tasks || agg.Failures != 0 {
+		t.Fatalf("per-shard tasks sum %d, aggregate %d, failures %d", perShardTasks, agg.Tasks, agg.Failures)
+	}
+	if err := eng.Resize(8); err == nil {
+		t.Fatal("Resize after Close accepted")
 	}
 }
 
-// TestCoordinatorMigratesOnSkew drives one shard hot with pinned work while
-// its sibling idles and waits for the coordinator to move the hot shard's
-// resident region over, proving the busy-counter watch path end to end.
-func TestCoordinatorMigratesOnSkew(t *testing.T) {
-	reg := metrics.NewRegistry()
-	movedCh := make(chan Migration, 4)
-	eng := NewEngine(WithShards(2), WithMetrics(reg), WithMigration(MigrationConfig{
-		Enabled:        true,
-		Interval:       time.Millisecond,
-		SustainedPolls: 2,
-		MaxMoves:       1,
-		OnMigrate:      func(m Migration) { movedCh <- m },
-	}))
-	registerSizeCleanups(t, eng, 8)
-
-	if err := pinnedDo(eng, 0, func(rt *core.Runtime) {
-		r, _ := buildChain(rt, 128)
-		_ = r
-	}); err != nil {
-		t.Fatalf("build: %v", err)
-	}
-
-	// Pinned work keyed to home on shard 0, where the region lives.
-	key := "hot"
-	for i := 0; eng.ShardFor(key) != 0; i++ {
-		key = fmt.Sprintf("hot-%d", i)
-	}
-	hot := func() Task {
-		tk := workTask(1, 64)
-		tk.Pin = true
-		tk.Affinity = key
-		return tk
-	}
-
-	deadline := time.After(5 * time.Second)
-	var m Migration
-loop:
-	for {
-		select {
-		case m = <-movedCh:
-			break loop
-		case <-deadline:
-			t.Fatal("coordinator never migrated despite sustained skew")
-		default:
-			eng.Submit(hot())
+// keyFor returns an affinity key that homes on shard i of e.
+func keyFor(e *Engine, i int) string {
+	for n := 0; ; n++ {
+		if k := fmt.Sprintf("key-%d", n); e.ShardFor(k) == i {
+			return k
 		}
-	}
-	if m.From != 0 || m.To != 1 || m.Pages == 0 {
-		t.Fatalf("coordinator migration %+v, want a move 0→1", m)
-	}
-	agg := eng.Close()
-	if agg.Failures != 0 {
-		t.Fatalf("%d failures", agg.Failures)
-	}
-	snap := reg.Snapshot()
-	if c, ok := snap.Counter("regions_migrations_total"); !ok || c == 0 {
-		t.Fatalf("regions_migrations_total = %d (present=%v), want > 0", c, ok)
-	}
-	if c, ok := snap.Counter("regions_migrated_pages_total"); !ok || c == 0 {
-		t.Fatalf("regions_migrated_pages_total = %d (present=%v), want > 0", c, ok)
 	}
 }

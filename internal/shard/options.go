@@ -1,8 +1,6 @@
 package shard
 
 import (
-	"time"
-
 	"regions/internal/core"
 	"regions/internal/metrics"
 	"regions/internal/trace"
@@ -10,73 +8,18 @@ import (
 
 // This file is the engine's construction surface: functional options over a
 // private settings struct, each knob a named, documented, composable unit —
-// shard.NewEngine(shard.WithShards(8), shard.WithMigration(cfg)). Runtime
+// shard.NewEngine(shard.WithShards(8), shard.WithNoSteal()). Runtime
 // knobs are not re-declared here: WithRuntime hands every shard one
 // core.Options value whole.
-
-// PlacementFunc maps an affinity key to a home shard index in [0, shards).
-// It must be a pure function of its arguments: placement runs on every
-// Submit and, under Resize, with a changing shard count.
-type PlacementFunc func(key string, shards int) int
-
-// defaultPlacement is the engine's historical placement: FNV-1a mod shards.
-func defaultPlacement(key string, shards int) int {
-	return int(fnv32a(key) % uint32(shards))
-}
-
-// MigrationConfig tunes the background migration coordinator (see
-// migrate.go). The zero value leaves the coordinator off; WithMigration
-// applies defaults to zero fields when Enabled is set.
-type MigrationConfig struct {
-	// Enabled starts the coordinator goroutine.
-	Enabled bool
-	// Interval is the poll period over the shards' published busy-cycle and
-	// steal counters (default 2ms of wall clock).
-	Interval time.Duration
-	// SkewRatio is the busiest/idlest busy-cycle delta ratio that counts a
-	// poll as skewed (default 4). An idle shard (zero delta) opposite a busy
-	// one always counts as skewed.
-	SkewRatio float64
-	// SustainedPolls is how many consecutive skewed polls trigger a
-	// rebalance (default 3), so a single bursty poll doesn't move regions.
-	SustainedPolls int
-	// MaxMoves bounds the regions migrated per rebalance (default 1).
-	MaxMoves int
-	// OnMigrate, when non-nil, is called after each completed migration
-	// (coordinator- and Resize-initiated) on the initiating goroutine. The
-	// driver uses it to re-root any untracked pointers it holds into the
-	// moved region, via Migration.Rec.Translate.
-	OnMigrate func(m Migration)
-}
-
-func (c *MigrationConfig) withDefaults() MigrationConfig {
-	out := *c
-	if out.Interval <= 0 {
-		out.Interval = 2 * time.Millisecond
-	}
-	if out.SkewRatio <= 1 {
-		out.SkewRatio = 4
-	}
-	if out.SustainedPolls <= 0 {
-		out.SustainedPolls = 3
-	}
-	if out.MaxMoves <= 0 {
-		out.MaxMoves = 1
-	}
-	return out
-}
 
 // settings is the resolved engine configuration NewEngine builds from its
 // options.
 type settings struct {
 	shards           int
 	noSteal          bool
-	idleSweep        bool
 	heapProfileEvery int
 	runtime          core.Options
 	metrics          *metrics.Registry
-	placement        PlacementFunc
-	migration        MigrationConfig
 	spanT            *trace.Tracer
 }
 
@@ -84,7 +27,7 @@ type settings struct {
 type Option func(*settings)
 
 // WithShards sets the initial worker count (default 1; values below 1
-// become 1). Engine.Resize can change it later.
+// become 1). Engine.Resize can grow it later.
 func WithShards(n int) Option { return func(s *settings) { s.shards = n } }
 
 // WithRuntime sets the core options every shard runtime is built with,
@@ -118,35 +61,9 @@ func WithHeapProfileEvery(n int) Option {
 	return func(s *settings) { s.heapProfileEvery = n }
 }
 
-// WithIdleSweep makes workers that find no runnable task sweep one slice of
-// sweep debt before blocking, turning scheduler idle cycles into
-// reclamation (meaningful only with a DeferredDelete runtime). Off by
-// default because sweep progress then depends on wall-clock scheduling:
-// drivers that need deterministic simulated clocks (internal/serve) model
-// their own idle sweeping instead.
-func WithIdleSweep(on bool) Option { return func(s *settings) { s.idleSweep = on } }
-
-// WithPlacement replaces the affinity-key placement function (default:
-// FNV-1a hash mod shard count). Round-robin placement of empty-key tasks is
-// unaffected.
-func WithPlacement(fn PlacementFunc) Option {
-	return func(s *settings) {
-		if fn != nil {
-			s.placement = fn
-		}
-	}
-}
-
-// WithMigration configures live region migration: cfg.Enabled starts the
-// skew-watching coordinator; Engine.MigrateRegion and Engine.Resize work
-// regardless, but honor cfg.OnMigrate.
-func WithMigration(cfg MigrationConfig) Option {
-	return func(s *settings) { s.migration = cfg.withDefaults() }
-}
-
 // WithSpanTracer attaches t as the engine's span sink: workers bracket
-// idle-sweep slices, close-time sweep drains, stolen-task executions, and
-// migration export/import pauses in begin/end span pairs (trace.SpanBegin /
+// close-time sweep drains, stolen-task executions, and migration
+// export/import pauses in begin/end span pairs (trace.SpanBegin /
 // trace.SpanEnd) stamped with the executing shard's own simulated clock.
 // The tracer must be clock-less (no SetClock) so those per-shard stamps
 // survive; it is shared by all workers, which is safe because Emit locks.

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"fmt"
 	"testing"
 
 	"regions/internal/apps/appkit"
@@ -25,7 +24,7 @@ func probeRuntime(e *Engine) []runtimeProbe {
 	ws := e.workers()
 	out := make([]runtimeProbe, len(ws))
 	for i, w := range ws {
-		e.submitTo(w, Task{Name: "probe", Pin: true, Run: func(env appkit.RegionEnv) uint32 {
+		e.enqueue(w, &w.pinned, true, []Task{{Name: "probe", Pin: true, Run: func(env appkit.RegionEnv) uint32 {
 			rt := env.(*Env).Runtime()
 			r := env.NewRegion()
 			s := env.RstrAlloc(r, 64)
@@ -38,7 +37,7 @@ func probeRuntime(e *Engine) []runtimeProbe {
 			out[i] = runtimeProbe{safe: env.Safe(), debt: rt.SweepDebt(),
 				strReuse: rt.StrPoolStats().Reuse, completed: true}
 			return 0
-		}})
+		}}})
 	}
 	return out
 }
@@ -67,7 +66,7 @@ func TestWithRuntimeReachesEveryShard(t *testing.T) {
 	}
 	for _, tc := range cases {
 		e := NewEngine(WithShards(2), WithRuntime(tc.opts))
-		if _, err := e.Resize(4); err != nil {
+		if err := e.Resize(4); err != nil {
 			t.Fatalf("%s: resize: %v", tc.name, err)
 		}
 		probes := probeRuntime(e)
@@ -99,38 +98,4 @@ func TestDefaultsApply(t *testing.T) {
 		t.Fatalf("Shards() = %d with WithShards(-3), want 1", e.Shards())
 	}
 	e.Close()
-}
-
-// TestWithPlacement replaces the hash placement with a fixed-target
-// function and verifies both ShardFor and actual pinned execution follow
-// it, while stealing is disabled so nothing can drift.
-func TestWithPlacement(t *testing.T) {
-	const target = 2
-	e := NewEngine(WithShards(4), WithNoSteal(),
-		WithPlacement(func(key string, shards int) int { return target % shards }))
-	for _, key := range []string{"a", "b", "anything"} {
-		if got := e.ShardFor(key); got != target {
-			t.Fatalf("ShardFor(%q) = %d, want %d", key, got, target)
-		}
-	}
-	const n = 12
-	for i := 0; i < n; i++ {
-		tk := workTask(uint32(i), 4)
-		tk.Affinity = fmt.Sprintf("key-%d", i)
-		tk.Pin = true
-		e.Submit(tk)
-	}
-	agg := e.Close()
-	if agg.Failures != 0 {
-		t.Fatalf("%d failures", agg.Failures)
-	}
-	for _, s := range agg.PerShard {
-		want := uint64(0)
-		if s.Shard == target {
-			want = n
-		}
-		if s.Tasks != want {
-			t.Fatalf("shard %d ran %d tasks, want %d under fixed placement", s.Shard, s.Tasks, want)
-		}
-	}
 }

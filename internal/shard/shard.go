@@ -12,6 +12,12 @@
 // a pipeline of tasks can share regions created by its predecessors without
 // any cross-shard synchronization — the sharded analogue of the paper's
 // single-machine model.
+//
+// Beyond stealing tasks, the engine offers two mechanisms and no policy:
+// Resize grows the worker set, and MigrateRegion moves one quiesced region
+// between shards. When to use them is the driver's call — internal/serve
+// grows and rebalances its tenants at a phase barrier, on the simulated
+// clock, so every number it reports is deterministic.
 package shard
 
 import (

@@ -38,9 +38,11 @@ func TestEngineRunsTasksAcrossShards(t *testing.T) {
 	// before they start; TestStealingKeepsChecksumAndDrains covers that.)
 	eng := NewEngine(WithShards(4), WithNoSteal())
 	const tasks = 64
+	var batch []Task
 	for i := 0; i < tasks; i++ {
-		eng.Submit(simpleTask(uint32(i)))
+		batch = append(batch, simpleTask(uint32(i)))
 	}
+	eng.SubmitBatch(batch)
 	agg := eng.Close()
 	if agg.Tasks != tasks {
 		t.Fatalf("ran %d tasks, want %d", agg.Tasks, tasks)
@@ -67,9 +69,11 @@ func TestEngineRunsTasksAcrossShards(t *testing.T) {
 func TestChecksumIsPlacementIndependent(t *testing.T) {
 	run := func(shards int) uint32 {
 		eng := NewEngine(WithShards(shards))
+		var batch []Task
 		for i := 0; i < 24; i++ {
-			eng.Submit(simpleTask(uint32(i * 7)))
+			batch = append(batch, simpleTask(uint32(i*7)))
 		}
+		eng.SubmitBatch(batch)
 		agg := eng.Close()
 		if agg.Failures != 0 {
 			t.Fatalf("failures at %d shards", shards)
@@ -91,7 +95,7 @@ func TestAffinityTasksShareAShard(t *testing.T) {
 	// soft preference under work stealing), allocates in it and deletes
 	// it. This only works if both run, in order, on one runtime.
 	var shared appkit.Region
-	eng.Submit(Task{
+	eng.SubmitBatch([]Task{{
 		Name:     "produce",
 		Affinity: "pipeline-1",
 		Pin:      true,
@@ -100,8 +104,7 @@ func TestAffinityTasksShareAShard(t *testing.T) {
 			e.RstrAlloc(shared, 64)
 			return 1
 		},
-	})
-	eng.Submit(Task{
+	}, {
 		Name:     "consume",
 		Affinity: "pipeline-1",
 		Pin:      true,
@@ -112,7 +115,7 @@ func TestAffinityTasksShareAShard(t *testing.T) {
 			}
 			return 2
 		},
-	})
+	}})
 	agg := eng.Close()
 	if agg.Failures != 0 {
 		for _, s := range agg.PerShard {
@@ -129,7 +132,7 @@ func TestAffinityTasksShareAShard(t *testing.T) {
 
 func TestTaskPanicIsIsolatedAndStackReset(t *testing.T) {
 	eng := NewEngine(WithShards(1))
-	eng.Submit(Task{
+	eng.SubmitBatch([]Task{{
 		Name: "bad",
 		Run: func(e appkit.RegionEnv) uint32 {
 			e.PushFrame(2) // left on the stack when the panic unwinds
@@ -138,8 +141,8 @@ func TestTaskPanicIsIsolatedAndStackReset(t *testing.T) {
 			e.DeleteRegion(r) // double delete: *Fault panic
 			return 0
 		},
-	})
-	eng.Submit(simpleTask(99))
+	}})
+	eng.SubmitBatch([]Task{simpleTask(99)})
 	agg := eng.Close()
 	if agg.Failures != 1 {
 		t.Fatalf("failures = %d, want 1", agg.Failures)
@@ -172,9 +175,10 @@ func TestAppOnShardMatchesDedicatedEnv(t *testing.T) {
 
 	eng := NewEngine(WithShards(1))
 	var got [2]uint32
+	var batch []Task
 	for i := range got {
 		i := i
-		eng.Submit(Task{
+		batch = append(batch, Task{
 			Name: "tile",
 			Run: func(e appkit.RegionEnv) uint32 {
 				got[i] = app.Region(e, scale)
@@ -182,6 +186,7 @@ func TestAppOnShardMatchesDedicatedEnv(t *testing.T) {
 			},
 		})
 	}
+	eng.SubmitBatch(batch)
 	agg := eng.Close()
 	if agg.Failures != 0 {
 		t.Fatalf("app task failed: %v", agg.PerShard[0].LastError)

@@ -70,7 +70,7 @@ func TestEngineSpansParity(t *testing.T) {
 func TestEngineStealSpans(t *testing.T) {
 	tasks := randomTasks(rand.New(rand.NewSource(11)), 300)
 	tr := trace.New(1 << 16)
-	eng := NewEngine(WithShards(4), WithSpanTracer(tr), WithRuntime(core.Options{Safe: true, DeferredDelete: true, SweepBudget: 4, SweepHighWater: 8}), WithIdleSweep(true))
+	eng := NewEngine(WithShards(4), WithSpanTracer(tr), WithRuntime(core.Options{Safe: true, DeferredDelete: true, SweepBudget: 4, SweepHighWater: 8}))
 	eng.SubmitBatch(tasks)
 	agg := eng.Close()
 
@@ -121,7 +121,7 @@ func TestEngineMigrateSpans(t *testing.T) {
 func TestEngineDroppedMetric(t *testing.T) {
 	reg := metrics.NewRegistry()
 	tr := trace.New(8) // tiny ring: guaranteed wraparound
-	eng := NewEngine(WithShards(2), WithRuntime(core.Options{Safe: true, DeferredDelete: true, SweepBudget: 2, SweepHighWater: 4}), WithIdleSweep(true),
+	eng := NewEngine(WithShards(2), WithRuntime(core.Options{Safe: true, DeferredDelete: true, SweepBudget: 2, SweepHighWater: 4}),
 		WithMetrics(reg), WithSpanTracer(tr))
 	eng.SubmitBatch(randomTasks(rand.New(rand.NewSource(3)), 200))
 	eng.Close()

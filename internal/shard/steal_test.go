@@ -113,6 +113,7 @@ func TestImbalancedWorkloadIsStolen(t *testing.T) {
 		timedOut              atomic.Bool
 	)
 	const tasks = 48
+	var batch []Task
 	for i := 0; i < tasks; i++ {
 		tk := workTask(uint32(i), 128)
 		tk.Affinity = "hot"
@@ -133,8 +134,9 @@ func TestImbalancedWorkloadIsStolen(t *testing.T) {
 			}
 			return run(e)
 		}
-		eng.Submit(tk)
+		batch = append(batch, tk)
 	}
+	eng.SubmitBatch(batch)
 	agg := eng.Close()
 	if timedOut.Load() {
 		t.Fatal("the home shard and a sibling did not both start a task within 30s")
@@ -171,11 +173,13 @@ func TestNoStealKeepsTasksHome(t *testing.T) {
 	eng := NewEngine(WithShards(4), WithNoSteal())
 	home := eng.ShardFor("hot")
 	const tasks = 24
+	var batch []Task
 	for i := 0; i < tasks; i++ {
 		tk := workTask(uint32(i), 16)
 		tk.Affinity = "hot"
-		eng.Submit(tk)
+		batch = append(batch, tk)
 	}
+	eng.SubmitBatch(batch)
 	agg := eng.Close()
 	if agg.Failures != 0 {
 		t.Fatalf("%d failures", agg.Failures)
@@ -200,9 +204,11 @@ func TestNoStealKeepsTasksHome(t *testing.T) {
 func TestPanicIsolationUnderStealing(t *testing.T) {
 	goodChecksum := func(shards int, opts ...Option) uint32 {
 		eng := NewEngine(append([]Option{WithShards(shards)}, opts...)...)
+		var batch []Task
 		for i := 0; i < 32; i++ {
-			eng.Submit(simpleTask(uint32(i)))
+			batch = append(batch, simpleTask(uint32(i)))
 		}
+		eng.SubmitBatch(batch)
 		agg := eng.Close()
 		if agg.Failures != 0 {
 			t.Fatalf("control run failed")
@@ -213,8 +219,9 @@ func TestPanicIsolationUnderStealing(t *testing.T) {
 
 	eng := NewEngine(WithShards(4))
 	const bad = 8
+	var batch []Task
 	for i := 0; i < bad; i++ {
-		eng.Submit(Task{
+		batch = append(batch, Task{
 			Name:     "bad",
 			Affinity: "hot", // all homed together so some panics run stolen
 			Run: func(e appkit.RegionEnv) uint32 {
@@ -226,8 +233,9 @@ func TestPanicIsolationUnderStealing(t *testing.T) {
 		})
 	}
 	for i := 0; i < 32; i++ {
-		eng.Submit(simpleTask(uint32(i)))
+		batch = append(batch, simpleTask(uint32(i)))
 	}
+	eng.SubmitBatch(batch)
 	agg := eng.Close()
 	if agg.Failures != bad {
 		t.Fatalf("failures = %d, want %d", agg.Failures, bad)

@@ -12,8 +12,8 @@ import (
 
 // blobTask is a request that allocates multi-page blobs in a fresh region,
 // folds them into a checksum, and deletes the region. Under DeferredDelete
-// the delete only detaches the pages; the worker's idle loop and the
-// close-time drain sweep them behind later tasks.
+// the delete only detaches the pages; the allocation tax of later tasks and
+// the close-time drain sweep them.
 func blobTask(seed uint32) Task {
 	return Task{
 		Name: "blob",
@@ -38,11 +38,12 @@ func blobTask(seed uint32) Task {
 	}
 }
 
-// TestDeferredSweepRacesDeletes races task-driven deletions against the
-// background sweeper under the race detector, in the two interleavings that
-// matter: a flooded submission where workers never go idle (debt is
-// cancelled by reuse or drained at close) and a paced submission whose idle
-// gaps let the sweeper poison pages between tasks. A shared metrics
+// TestDeferredSweepRacesDeletes races task-driven deletions and their
+// deferred sweeping under the race detector, in two interleavings: a
+// flooded submission where workers never go idle and a paced one whose
+// bursts leave workers idle between them, carrying debt across the gaps.
+// Either way the debt is paid by the allocation tax of later tasks (or
+// cancelled by page reuse) and by the close-time drain. A shared metrics
 // registry is scraped concurrently throughout, like a live /metrics
 // endpoint. Both deferred interleavings must produce the synchronous run's
 // checksum, end with zero debt, and leave every shard's heap invariants
@@ -51,7 +52,7 @@ func TestDeferredSweepRacesDeletes(t *testing.T) {
 	const tasks = 240
 	run := func(deferred, paced bool) uint32 {
 		reg := metrics.NewRegistry()
-		engOpts := []Option{WithShards(4), WithMetrics(reg), WithIdleSweep(deferred)}
+		engOpts := []Option{WithShards(4), WithMetrics(reg)}
 		if deferred {
 			engOpts = append(engOpts, WithRuntime(core.Options{Safe: true, DeferredDelete: true, SweepBudget: 2}))
 		}
@@ -72,10 +73,14 @@ func TestDeferredSweepRacesDeletes(t *testing.T) {
 				}
 			}
 		}()
-		for i := 0; i < tasks; i++ {
-			eng.Submit(blobTask(uint32(i)))
-			if paced && i%8 == 7 {
-				time.Sleep(time.Millisecond) // idle window: the sweeper runs
+		for i := 0; i < tasks; i += 8 {
+			burst := make([]Task, 8)
+			for j := range burst {
+				burst[j] = blobTask(uint32(i + j))
+			}
+			eng.SubmitBatch(burst)
+			if paced {
+				time.Sleep(time.Millisecond) // idle window between bursts
 			}
 		}
 		agg := eng.Close()
@@ -113,6 +118,6 @@ func TestDeferredSweepRacesDeletes(t *testing.T) {
 		t.Fatalf("flooded deferred checksum %#x, sync %#x — deferral changed results", got, want)
 	}
 	if got := run(true, true); got != want {
-		t.Fatalf("paced deferred checksum %#x, sync %#x — idle sweeping changed results", got, want)
+		t.Fatalf("paced deferred checksum %#x, sync %#x — pacing changed results", got, want)
 	}
 }

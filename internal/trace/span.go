@@ -8,8 +8,9 @@ import (
 // Request-level span tracing: the layer that turns "p999 is 130k cycles"
 // into "90k of it was queue wait and 30k was the work phase". A span is a
 // KindSpanBegin/KindSpanEnd event pair bracketing one phase of work; the
-// emitters (internal/serve per-session lifecycles, internal/shard idle
-// sweeps and migration pauses, internal/core sweep-tax slices) stamp both
+// emitters (internal/serve per-session lifecycles and idle-gap sweeps,
+// internal/shard close-time sweep drains, steals and migration pauses,
+// internal/core sweep-tax slices) stamp both
 // ends with the relevant clock, and BuildSpanProfile folds the pairs back
 // into per-request critical paths.
 //
