@@ -3,6 +3,7 @@ package mem
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"regions/internal/cachesim"
@@ -151,9 +152,10 @@ func TestAttachCacheAfterAccesses(t *testing.T) {
 }
 
 // TestMatchesPerAccessReference drives a random trace of loads, stores,
-// byte accesses, mode switches, uncharged stretches and new mappings, and
-// checks contents, mode cycles and stalls against a loop that charges
-// each access the way the original slow path did.
+// byte accesses, range zeroing, page poisoning, mode switches (inside
+// uncharged stretches too), uncharged stretches and new mappings, and
+// checks contents, mode cycles and stalls against a loop that charges each
+// access the way the original slow path did.
 func TestMatchesPerAccessReference(t *testing.T) {
 	for _, withCache := range []bool{false, true} {
 		s, c := newSpace()
@@ -163,7 +165,8 @@ func TestMatchesPerAccessReference(t *testing.T) {
 			refCache = cachesim.New(cachesim.UltraSparcI())
 		}
 		var want stats.Counters
-		shadow := map[Addr]Word{}
+		shadowWords := make([]Word, 70*PageWords)
+		shadow := func(a Addr) *Word { return &shadowWords[(a-PageSize)/WordSize] }
 		mode := stats.ModeApp
 		pages := 1
 		s.MapPages(1)
@@ -179,35 +182,63 @@ func TestMatchesPerAccessReference(t *testing.T) {
 				want.WriteStalls += w
 			}
 		}
+		// zeroRange is a random ZeroRange inside the mapped pages: 0 to 3
+		// pages long, often crossing pages and often not a multiple of the
+		// word size.
+		zeroRange := func(a Addr, size int, charged bool) {
+			if end := int(PageSize + pages*PageSize); int(a)+size > end {
+				size = end - int(a)
+			}
+			for off := 0; off < size; off += WordSize {
+				if charged {
+					charge(a+Addr(off), true)
+				}
+				*shadow(a + Addr(off)) = 0
+			}
+			s.ZeroRange(a, size)
+		}
 		rng := rand.New(rand.NewSource(1))
 		for i := 0; i < 200000; i++ {
 			a := PageSize + Addr(rng.Intn(pages*PageSize))&^(WordSize-1)
 			switch op := rng.Intn(100); {
-			case op < 45:
+			case op < 43:
 				charge(a, false)
-				if got := s.Load(a); got != shadow[a] {
-					t.Fatalf("cache=%v step %d: Load(%#x)=%#x, want %#x", withCache, i, a, got, shadow[a])
+				if got := s.Load(a); got != *shadow(a) {
+					t.Fatalf("cache=%v step %d: Load(%#x)=%#x, want %#x", withCache, i, a, got, *shadow(a))
 				}
-			case op < 90:
+			case op < 86:
 				v := rng.Uint32()
 				charge(a, true)
 				s.Store(a, v)
-				shadow[a] = v
-			case op < 95:
+				*shadow(a) = v
+			case op < 91:
 				b := Addr(rng.Intn(WordSize))
 				charge(a, false)
 				charge(a, true)
 				s.StoreByte(a+b, 0xab)
-				shadow[a] = shadow[a]&^(0xff<<(8*b)) | 0xab<<(8*b)
-			case op < 98:
+				*shadow(a) = *shadow(a)&^(0xff<<(8*b)) | 0xab<<(8*b)
+			case op < 94:
 				mode = stats.Mode(rng.Intn(int(stats.NumModes)))
 				s.SetMode(mode)
-			case op < 99:
+			case op < 96:
+				zeroRange(a, rng.Intn(3*PageSize+1), true)
+			case op < 97:
+				page := a &^ (PageSize - 1)
+				for j := Addr(0); j < PageSize; j += WordSize {
+					*shadow(page + j) = PoisonWord
+				}
+				s.PoisonPageFree(page + Addr(rng.Intn(PageSize)))
+			case op < 98:
 				s.Uncharged(func() {
 					for j := Addr(0); j < 8*WordSize; j += WordSize {
 						s.Load(a&^(PageSize-1) + j)
 					}
-					s.Store(a, shadow[a])
+					s.Store(a, *shadow(a))
+					if rng.Intn(2) == 0 {
+						mode = stats.Mode(rng.Intn(int(stats.NumModes)))
+						s.SetMode(mode)
+					}
+					zeroRange(a, rng.Intn(PageSize), false)
 				})
 			default:
 				if pages < 64 {
@@ -222,6 +253,64 @@ func TestMatchesPerAccessReference(t *testing.T) {
 		}
 		if withCache && want.ReadStalls == 0 {
 			t.Fatal("trace caused no read stalls")
+		}
+		s.Uncharged(func() {
+			for a := Addr(PageSize); a < Addr(PageSize+pages*PageSize); a += WordSize {
+				if got := s.Load(a); got != *shadow(a) {
+					t.Fatalf("cache=%v: final word at %#x is %#x, want %#x", withCache, a, got, *shadow(a))
+				}
+			}
+		})
+	}
+}
+
+// TestInvalidModeTakesSlowPath checks that an invalid accounting mode keeps
+// every access off the fast path: Load, Store and ZeroRange try to charge
+// the invalid mode and panic without charging anything, and a switch back
+// to a valid mode restores fast charging.
+func TestInvalidModeTakesSlowPath(t *testing.T) {
+	for _, withCache := range []bool{false, true} {
+		s, c := newSpace()
+		var cache *cachesim.Cache
+		if withCache {
+			cache = cachesim.New(cachesim.UltraSparcI())
+			s.AttachCache(cache)
+		}
+		a := s.MapPages(2)
+		s.Store(a, 7)
+		for _, bad := range []stats.Mode{stats.NumModes, -1} {
+			s.SetMode(stats.ModeAlloc)
+			s.SetMode(bad)
+			before := *c
+			var accesses uint64
+			if cache != nil {
+				accesses = cache.Reads + cache.Writes
+			}
+			for name, f := range map[string]func(){
+				"Load":      func() { s.Load(a) },
+				"Store":     func() { s.Store(a, 1) },
+				"ZeroRange": func() { s.ZeroRange(a, 2*PageSize) },
+			} {
+				if msg := panicMsg(f); !strings.Contains(msg, "index out of range") {
+					t.Fatalf("cache=%v mode %d: %s panicked with %q, want the charge's index panic", withCache, bad, name, msg)
+				}
+			}
+			if *c != before {
+				t.Fatalf("cache=%v mode %d: counters moved from %+v to %+v", withCache, bad, before, *c)
+			}
+			if cache != nil && cache.Reads+cache.Writes != accesses {
+				t.Fatalf("mode %d: the cache saw an access that was never charged", bad)
+			}
+			if s.SetMode(stats.ModeFree) != bad {
+				t.Fatalf("SetMode did not return the invalid mode %d", bad)
+			}
+			if s.fastWords == 0 {
+				t.Fatalf("cache=%v: the fast window stayed closed after leaving mode %d", withCache, bad)
+			}
+			free := c.Cycles[stats.ModeFree]
+			if s.Load(a) != 7 || c.Cycles[stats.ModeFree] != free+1 {
+				t.Fatalf("cache=%v: a valid mode after mode %d does not charge 1 cycle per load", withCache, bad)
+			}
 		}
 	}
 }
@@ -254,5 +343,42 @@ func BenchmarkSpaceLoadStore(b *testing.B) {
 				off = (off + WordSize) % span
 			}
 		})
+	}
+}
+
+// BenchmarkSpaceZeroRange measures the host cost of clearing one 256-byte
+// allocation, with no cache model (the bulk path) and with the paper's
+// UltraSparc-I (one Store per word).
+func BenchmarkSpaceZeroRange(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		cache bool
+	}{{"no-cache", false}, {"UltraSparcI", true}} {
+		b.Run(bc.name, func(b *testing.B) {
+			s, _ := newSpace()
+			if bc.cache {
+				s.AttachCache(cachesim.New(cachesim.UltraSparcI()))
+			}
+			const span, size = 64 * PageSize, 256
+			base := s.MapPages(span / PageSize)
+			off := Addr(0)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.ZeroRange(base+off, size)
+				off = (off + size) % span
+			}
+		})
+	}
+}
+
+// BenchmarkPoisonPageFree measures the host cost of poisoning one freed
+// page.
+func BenchmarkPoisonPageFree(b *testing.B) {
+	s, _ := newSpace()
+	const pages = 64
+	base := s.MapPages(pages)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.PoisonPageFree(base + Addr(i%pages)*PageSize)
 	}
 }

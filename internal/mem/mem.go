@@ -106,17 +106,23 @@ func NewSpace(c *stats.Counters) *Space {
 // refresh recomputes the fast-path state after the mode, charging or the
 // mapped pages change. The fast path reads the cache field directly.
 func (s *Space) refresh() {
+	// Unless set below, every access takes the slow path, which charges or
+	// panics.
 	s.fastWords = 0
-	if !s.charge || s.c == nil || uint(s.mode) >= uint(stats.NumModes) {
-		return // every access takes the slow path, which charges or panics
-	}
-	s.fastWords = uint32(len(s.pages)-1) * PageWords
-	s.cyc = &s.c.Cycles[s.mode]
-	s.cost = 1
-	if s.mode == stats.ModeApp {
-		s.cost = AppComputeFactor
+	if s.charge && s.c != nil && uint(s.mode) < uint(stats.NumModes) {
+		s.fastWords = uint32(len(s.pages)-1) * PageWords
+		s.cyc, s.cost = &s.c.Cycles[s.mode], modeCost[s.mode]
 	}
 }
+
+// modeCost is the per-access charge of each accounting mode.
+var modeCost = func() (c [stats.NumModes]uint64) {
+	for m := range c {
+		c[m] = 1
+	}
+	c[stats.ModeApp] = AppComputeFactor
+	return c
+}()
 
 // AttachCache routes subsequent accesses through the given cache model.
 func (s *Space) AttachCache(cache *cachesim.Cache) { s.cache = cache }
@@ -131,11 +137,18 @@ func (s *Space) Counters() *stats.Counters { return s.c }
 // the previous mode so callers can restore it:
 //
 //	defer s.SetMode(s.SetMode(stats.ModeAlloc))
-func (s *Space) SetMode(m stats.Mode) stats.Mode {
-	old := s.mode
-	s.mode = m
-	s.refresh()
-	return old
+//
+// While the fast window is live a switch to a valid mode only retargets the
+// charge; anything else recomputes the whole fast-path state. SetMode runs
+// twice per barrier, so it is kept within the compiler's inlining budget.
+func (s *Space) SetMode(m stats.Mode) (old stats.Mode) {
+	old, s.mode = s.mode, m
+	if s.fastWords == 0 || uint(m) >= uint(stats.NumModes) {
+		s.refresh()
+	} else {
+		s.cyc, s.cost = &s.c.Cycles[m], modeCost[m]
+	}
+	return
 }
 
 // Mode returns the current accounting mode.
@@ -278,8 +291,23 @@ func (s *Space) StoreByte(a Addr, b byte) {
 }
 
 // ZeroRange zeroes size bytes starting at a (both word-aligned), charging
-// one cycle per word as the paper's ralloc clearing does.
+// one cycle per word as the paper's ralloc clearing does. Without a cache
+// model a range inside the fast window is charged in one step and cleared
+// page by page; otherwise each word is a Store, so the cache sees it and a
+// bad address charges then panics at the word it reaches.
 func (s *Space) ZeroRange(a Addr, size int) {
+	words := (size + WordSize - 1) / WordSize
+	i := fastIndex(a)
+	if s.cache == nil && words > 0 && i < s.fastWords && words <= int(s.fastWords-i) {
+		*s.cyc += uint64(words) * s.cost
+		for n := uint32(words); n > 0; {
+			off := i % PageWords
+			k := min(n, PageWords-off)
+			clear(s.pages[i/PageWords+1].words[off : off+k])
+			i, n = i+k, n-k
+		}
+		return
+	}
 	for off := 0; off < size; off += WordSize {
 		s.Store(a+Addr(off), 0)
 	}
@@ -299,15 +327,20 @@ func (s *Space) ZeroPageFree(a Addr) {
 // freed pages are detectable by a verifier.
 const PoisonWord Word = 0xdeadbeef
 
+// poisonedPage is a page of PoisonWord, copied whole by PoisonPageFree.
+var poisonedPage = func() (p page) {
+	for i := range p.words {
+		p.words[i] = PoisonWord
+	}
+	return p
+}()
+
 // PoisonPageFree fills the page containing a with PoisonWord without
 // charging cycles. Allocators call it when a page returns to a free list;
 // pages are re-zeroed (ZeroPageFree) before reuse, so poisoning is
 // observable only through dangling pointers.
 func (s *Space) PoisonPageFree(a Addr) {
-	p := s.page(a &^ (PageSize - 1))
-	for i := range p.words {
-		p.words[i] = PoisonWord
-	}
+	*s.page(a &^ (PageSize - 1)) = poisonedPage
 }
 
 // PoisonRange fills size bytes starting at the word-aligned address a with

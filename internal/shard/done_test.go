@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"regions/internal/apps/appkit"
 )
@@ -68,6 +69,106 @@ func TestDoneFIFOOnPinned(t *testing.T) {
 	}
 }
 
+// TestSubmitBatchFeedsEveryShard checks that one batch feeds every shard's
+// queue together: a backlog homed on shard 0 that is more than twice a
+// queue deep must not hold back shard 1's only task, since shard 0's first
+// task waits for it. Done calls still arrive in submission order per shard.
+func TestSubmitBatchFeedsEveryShard(t *testing.T) {
+	e := NewEngine(WithShards(2))
+	keys := [2]string{keyFor(e, 0), keyFor(e, 1)}
+	release := make(chan struct{})
+	timedOut := false
+	var order [2][]int // each shard's slice is written only by its own goroutine
+	var batch []Task
+	add := func(home int, run func()) {
+		i := len(batch)
+		batch = append(batch, Task{
+			Name:     fmt.Sprintf("t%d", i),
+			Affinity: keys[home],
+			Pin:      true,
+			Run:      func(appkit.RegionEnv) uint32 { run(); return 1 },
+			Done: func(res TaskResult) {
+				if res.Shard == home && !res.Stolen {
+					order[res.Shard] = append(order[res.Shard], i)
+				}
+			},
+		})
+	}
+	add(0, func() {
+		select {
+		case <-release:
+		case <-time.After(10 * time.Second):
+			timedOut = true
+		}
+	})
+	for i := 0; i < 2*queueCap; i++ {
+		add(0, func() {})
+	}
+	add(1, func() { close(release) })
+	e.SubmitBatch(batch)
+	agg := e.Close()
+	if timedOut {
+		t.Fatal("shard 1's task did not run while shard 0's queue was backlogged")
+	}
+	if agg.Tasks != uint64(len(batch)) || agg.Failures != 0 {
+		t.Fatalf("ran %d tasks with %d failures, want %d and 0", agg.Tasks, agg.Failures, len(batch))
+	}
+	want := [2][]int{make([]int, 0, 2*queueCap+1), {2*queueCap + 1}}
+	for i := 0; i <= 2*queueCap; i++ {
+		want[0] = append(want[0], i)
+	}
+	for s := range order {
+		if fmt.Sprint(order[s]) != fmt.Sprint(want[s]) {
+			t.Errorf("shard %d Done order %v, want %v", s, order[s], want[s])
+		}
+	}
+}
+
+// TestConcurrentSubmittersKeepOrder has four goroutines submit deep pinned
+// batches to two shards at once, so each of them keeps blocking on full
+// queues. Every task must run (a lost wakeup hangs the test), and on each
+// shard every submitter's tasks complete in that submitter's order.
+func TestConcurrentSubmittersKeepOrder(t *testing.T) {
+	e := NewEngine(WithShards(2))
+	keys := [2]string{keyFor(e, 0), keyFor(e, 1)}
+	const submitters, per = 4, 4 * queueCap
+	type tag struct{ sub, i int }
+	var order [2][]tag // each shard's slice is written only by its own goroutine
+	var wg sync.WaitGroup
+	for k := 0; k < submitters; k++ {
+		batch := make([]Task, per)
+		for i := range batch {
+			home, id := i%2, tag{k, i}
+			batch[i] = Task{
+				Name:     fmt.Sprintf("s%d-t%d", k, i),
+				Affinity: keys[home],
+				Pin:      true,
+				Run:      func(appkit.RegionEnv) uint32 { return 1 },
+				Done:     func(res TaskResult) { order[res.Shard] = append(order[res.Shard], id) },
+			}
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			e.SubmitBatch(batch)
+		}()
+	}
+	wg.Wait()
+	agg := e.Close()
+	if agg.Tasks != submitters*per || agg.Failures != 0 {
+		t.Fatalf("ran %d tasks with %d failures, want %d and 0", agg.Tasks, agg.Failures, submitters*per)
+	}
+	for s, got := range order {
+		var n [submitters]int // tasks of each submitter seen on shard s so far
+		for _, id := range got {
+			if want := s + 2*n[id.sub]; id.i != want {
+				t.Fatalf("shard %d ran submitter %d's task %d, want its task %d", s, id.sub, id.i, want)
+			}
+			n[id.sub]++
+		}
+	}
+}
+
 // TestDoneSeesRunPanic checks that a panicking Run still invokes Done with
 // the recorded error and a zero checksum.
 func TestDoneSeesRunPanic(t *testing.T) {
@@ -113,5 +214,31 @@ func TestDonePanicRecorded(t *testing.T) {
 	}
 	if agg.Failures != 1 {
 		t.Errorf("aggregate failures = %d, want 1 (the Done panic)", agg.Failures)
+	}
+}
+
+// BenchmarkSubmitBatchTwoShards measures one serving-shaped batch on two
+// shards: 512 pinned request tasks alternating between the shards, each
+// waited for through its Done callback. The batch is 8 queues deep per
+// shard, so it finishes in about half the single-shard time only when both
+// shards are fed together.
+func BenchmarkSubmitBatchTwoShards(b *testing.B) {
+	e := NewEngine(WithShards(2))
+	defer e.Close()
+	keys := [2]string{keyFor(e, 0), keyFor(e, 1)}
+	const n = 16 * queueCap
+	var done sync.WaitGroup
+	batch := make([]Task, n)
+	for i := range batch {
+		batch[i] = simpleTask(uint32(i))
+		batch[i].Affinity = keys[i%2]
+		batch[i].Pin = true
+		batch[i].Done = func(TaskResult) { done.Done() }
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		done.Add(n)
+		e.SubmitBatch(batch)
+		done.Wait()
 	}
 }

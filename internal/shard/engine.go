@@ -17,7 +17,8 @@ import (
 const DefaultPageBatch = 64
 
 // queueCap is the capacity of each shard's stealable and pinned task
-// deques; a submitter blocks while its target deque is full.
+// deques; a submitter blocks while every deque it still has tasks for is
+// full.
 const queueCap = 32
 
 // Task is one unit of work for the engine. Run receives the executing
@@ -157,7 +158,8 @@ type worker struct {
 // worker that finds nothing re-checks those counters under the engine
 // mutex before blocking on the condvar, so a push between "sweep found
 // nothing" and "sleep" can never be lost; every push and pop broadcasts,
-// which also unblocks submitters waiting on a full deque.
+// which also unblocks a submitter waiting because every deque it still has
+// tasks for is full.
 type Engine struct {
 	ws        atomic.Pointer[[]*worker]
 	rr        atomic.Uint32
@@ -293,55 +295,94 @@ func (e *Engine) Resize(n int) error {
 	return nil
 }
 
-// SubmitBatch submits tasks in order, grouped per destination queue so a
-// large injection pays one deque lock round and one wakeup per shard
-// instead of one per task. Order is preserved within each (shard, pinned)
-// queue — the only order the engine promises, since stealable tasks may be
-// rearranged by stealing anyway while pinned queues are FIFO. It blocks
-// only while a destination queue is full; submitting after Close panics,
-// like writing to a closed pipe.
+// SubmitBatch submits tasks in order, grouped per destination queue — one
+// (shard, pinned) deque — and fills every destination together: each round
+// pushes whatever fits into every queue that still has tasks, so all shards
+// start working at once instead of one queue filling while the others idle.
+// Each push broadcasts once for its whole group. Order is preserved within
+// each destination queue — the only order the engine promises, since
+// stealable tasks may be rearranged by stealing anyway while pinned queues
+// are FIFO. It blocks only while every destination with tasks left is full;
+// submitting after Close panics, like writing to a closed pipe.
 func (e *Engine) SubmitBatch(ts []Task) {
 	ws := e.workers()
-	steal := make([][]Task, len(ws))
-	pin := make([][]Task, len(ws))
-	for _, t := range ts {
-		i := e.home(len(ws), t)
-		if t.Pin {
-			pin[i] = append(pin[i], t)
-		} else {
-			steal[i] = append(steal[i], t)
-		}
-	}
+	ds := make([]dest, 2*len(ws)) // stealable at 2i, pinned at 2i+1
 	for i, w := range ws {
-		e.enqueue(w, &w.dq, false, steal[i])
-		e.enqueue(w, &w.pinned, true, pin[i])
+		ds[2*i] = dest{w: w, q: &w.dq}
+		ds[2*i+1] = dest{w: w, q: &w.pinned, pinned: true}
+	}
+	for _, t := range ts {
+		i := 2 * e.home(len(ws), t)
+		if t.Pin {
+			i++
+		}
+		ds[i].ts = append(ds[i].ts, t)
+	}
+	e.fill(ds)
+}
+
+// dest is one destination of a submission: one of w's two deques and the
+// tasks still to be pushed onto it, in order.
+type dest struct {
+	w      *worker
+	q      *deque
+	pinned bool
+	ts     []Task
+}
+
+// fill pushes every destination's tasks onto its queue, in order, the
+// engine's one blocking enqueue loop. Each round pushes whatever fits into
+// every destination with tasks left; when none of them has room it waits on
+// the condvar, re-checking under the engine mutex — which every pop's wake
+// takes before broadcasting — so a slot freed between the round and the
+// wait cannot be missed.
+func (e *Engine) fill(ds []dest) {
+	for {
+		left := false
+		for i := range ds {
+			d := &ds[i]
+			if len(d.ts) == 0 {
+				continue
+			}
+			if e.closed.Load() {
+				panic("shard: SubmitBatch after Close")
+			}
+			if n := d.q.pushN(d.ts); n > 0 {
+				e.noteQueued(d.w, d.pinned, n)
+				d.ts = d.ts[n:]
+			}
+			left = left || len(d.ts) > 0
+		}
+		if !left {
+			return
+		}
+		e.mu.Lock()
+		for allFull(ds) {
+			if e.closed.Load() {
+				e.mu.Unlock()
+				panic("shard: SubmitBatch after Close")
+			}
+			e.cond.Wait()
+		}
+		e.mu.Unlock()
 	}
 }
 
-// enqueue pushes ts onto q, one of w's two deques, in order, blocking
-// while the queue is full. Migration calls it directly to pin its
-// export/import tasks to a donor or receiver regardless of placement.
-func (e *Engine) enqueue(w *worker, q *deque, pinned bool, ts []Task) {
-	for len(ts) > 0 {
-		if e.closed.Load() {
-			panic("shard: SubmitBatch after Close")
+// pinOn queues t on w's pinned deque regardless of placement, through the
+// same fill loop; migration uses it to run its export and import tasks on
+// the donor and the receiver.
+func (e *Engine) pinOn(w *worker, t Task) {
+	e.fill([]dest{{w: w, q: &w.pinned, pinned: true, ts: []Task{t}}})
+}
+
+// allFull reports whether every destination with tasks left is full.
+func allFull(ds []dest) bool {
+	for i := range ds {
+		if len(ds[i].ts) > 0 && !ds[i].q.full() {
+			return false
 		}
-		n := q.pushN(ts)
-		if n == 0 {
-			e.mu.Lock()
-			for q.full() {
-				if e.closed.Load() {
-					e.mu.Unlock()
-					panic("shard: SubmitBatch after Close")
-				}
-				e.cond.Wait()
-			}
-			e.mu.Unlock()
-			continue
-		}
-		e.noteQueued(w, pinned, n)
-		ts = ts[n:]
 	}
+	return true
 }
 
 // noteQueued publishes n newly queued tasks on w: counters first, then a

@@ -66,7 +66,7 @@ func (e *Engine) Migrations() (count, pages uint64) {
 func (e *Engine) onShard(w *worker, name string, fn func(rt *core.Runtime) error) (uint64, error) {
 	var fnErr error
 	done := make(chan TaskResult, 1)
-	e.enqueue(w, &w.pinned, true, []Task{{
+	e.pinOn(w, Task{
 		Name: name,
 		Pin:  true,
 		Run: func(appkit.RegionEnv) uint32 {
@@ -82,7 +82,7 @@ func (e *Engine) onShard(w *worker, name string, fn func(rt *core.Runtime) error
 			e.emitSpan(trace.SpanMigrate, res.Shard, res.StartCycles, res.EndCycles)
 			done <- res
 		},
-	}})
+	})
 	res := <-done
 	cycles := res.EndCycles - res.StartCycles
 	if res.Err != nil {

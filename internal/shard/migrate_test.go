@@ -19,7 +19,7 @@ import (
 func pinnedDo(e *Engine, i int, fn func(rt *core.Runtime)) error {
 	w := e.workers()[i]
 	done := make(chan error, 1)
-	e.enqueue(w, &w.pinned, true, []Task{{
+	e.pinOn(w, Task{
 		Name: "test-pinned",
 		Pin:  true,
 		Run: func(appkit.RegionEnv) uint32 {
@@ -27,7 +27,7 @@ func pinnedDo(e *Engine, i int, fn func(rt *core.Runtime)) error {
 			return 0
 		},
 		Done: func(res TaskResult) { done <- res.Err },
-	}})
+	})
 	return <-done
 }
 

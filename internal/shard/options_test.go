@@ -24,7 +24,7 @@ func probeRuntime(e *Engine) []runtimeProbe {
 	ws := e.workers()
 	out := make([]runtimeProbe, len(ws))
 	for i, w := range ws {
-		e.enqueue(w, &w.pinned, true, []Task{{Name: "probe", Pin: true, Run: func(env appkit.RegionEnv) uint32 {
+		e.pinOn(w, Task{Name: "probe", Pin: true, Run: func(env appkit.RegionEnv) uint32 {
 			rt := env.(*Env).Runtime()
 			r := env.NewRegion()
 			s := env.RstrAlloc(r, 64)
@@ -37,7 +37,7 @@ func probeRuntime(e *Engine) []runtimeProbe {
 			out[i] = runtimeProbe{safe: env.Safe(), debt: rt.SweepDebt(),
 				strReuse: rt.StrPoolStats().Reuse, completed: true}
 			return 0
-		}}})
+		}})
 	}
 	return out
 }
