@@ -209,7 +209,15 @@ type Runtime struct {
 	safe  bool
 	opts  Options
 
+	// regions lists the regions the runtime still tracks, in creation
+	// order: live ones, detached ones awaiting their sweep, and the
+	// reclaimed ones retire has not yet compacted away. A region's
+	// structure lives in its own first page (Section 4.1), so once its
+	// pages are gone only stale handles need the *Region; the table lets
+	// it go and stays proportional to live work (see retire).
 	regions   []*Region
+	reclaimed int32           // fully reclaimed entries still in regions
+	nextID    int32           // id of the next created or imported region
 	pages     pageIndex       // dense page number -> region map (see pageindex.go)
 	lr        [lrSize]lrEntry // last-region translation cache over pages
 	freePages []Ptr           // single free pages available for reuse
@@ -468,13 +476,13 @@ func (rt *Runtime) TryNewRegion() (*Region, error) {
 	defer rt.space.SetMode(old)
 	rt.charge(stats.ModeAlloc, 3)
 
-	id := int32(len(rt.regions))
+	id := rt.nextID
 	r := &Region{rt: rt, id: id}
 	page := rt.acquirePages(1, r)
 	if page == 0 {
 		return nil, rt.oomFault("newregion", id)
 	}
-	rt.regions = append(rt.regions, r)
+	rt.track(r)
 
 	color := Ptr(rt.colorSeq*colorStep) % (colorMax + colorStep)
 	if rt.opts.NoColoring {
@@ -873,10 +881,50 @@ func (rt *Runtime) TryDeleteRegion(r *Region) (bool, error) {
 	r.deleted = true
 	rt.c.RegionDeleted(r.bytes)
 	if o := rt.obs; o != nil {
-		o.event(trace.Event{Kind: trace.KindRegionDelete, Region: r.id,
-			Size: int32(min(r.bytes, 1<<31-1)), Aux: int32(r.allocs)})
+		o.regionDelete(r)
+	}
+	if reclaimedRegion(r) {
+		rt.retire()
 	}
 	return true, nil
+}
+
+// regionTableFloor is the region-table length below which retire never
+// compacts, so a runtime with few regions never pays for a compaction.
+const regionTableFloor = 64
+
+// track appends a newly created or imported region to the table under the
+// next id.
+func (rt *Runtime) track(r *Region) {
+	rt.regions = append(rt.regions, r)
+	rt.nextID++
+}
+
+// reclaimedRegion reports whether r is fully reclaimed: deleted with no
+// detached page left to sweep (exported regions release synchronously).
+func reclaimedRegion(r *Region) bool { return r.deleted && r.unswept == 0 }
+
+// retire notes that one tracked region just became fully reclaimed — a
+// synchronous delete, the sweep of a detached region's last page, or an
+// export — and compacts the table once reclaimed entries make up at least
+// half of it. Compaction keeps creation order. It scans a table at most
+// twice the retirements since the last compaction, so retiring is
+// amortized O(1), and the table never exceeds twice its unreclaimed
+// entries plus the floor. Host-side only: no simulated cycles.
+func (rt *Runtime) retire() {
+	rt.reclaimed++
+	if len(rt.regions) < regionTableFloor || 2*int(rt.reclaimed) < len(rt.regions) {
+		return
+	}
+	kept := rt.regions[:0]
+	for _, r := range rt.regions {
+		if !reclaimedRegion(r) {
+			kept = append(kept, r)
+		}
+	}
+	clear(rt.regions[len(kept):])
+	rt.regions = kept
+	rt.reclaimed = 0
 }
 
 // FinalizeStats folds regions still live at the end of a run into the
@@ -919,8 +967,9 @@ func (r *Region) Detached() bool { return r.deleted && r.unswept > 0 }
 func (r *Region) Migrated() bool { return r.migrated }
 
 // LiveRegions returns the runtime's live (not deleted, not migrated-away)
-// regions in creation order. Host-side only: it charges no simulated cycles
-// and exists for migration drivers and diagnostics.
+// regions in creation order, read from the region table, which keeps
+// creation order across its compactions. Host-side only: it charges no
+// simulated cycles and exists for migration drivers and diagnostics.
 func (rt *Runtime) LiveRegions() []*Region {
 	var out []*Region
 	for _, r := range rt.regions {

@@ -157,7 +157,6 @@ func (m *runtimeMetrics) fold(rt *Runtime, ev trace.Event) {
 		m.liveRegions.Inc()
 	case trace.KindRegionDelete:
 		m.liveRegions.Dec()
-		m.regionLifetime.Observe(rt.c.TotalCycles() - rt.regions[ev.Region].born)
 	case trace.KindMigrate: // Aux 0 exports the region, 1 imports it
 		m.liveRegions.Add(2*int64(ev.Aux) - 1)
 	case trace.KindRalloc, trace.KindRarrayAlloc:

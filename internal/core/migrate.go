@@ -176,6 +176,7 @@ func (rt *Runtime) ExportRegion(r *Region) (*RegionRecord, error) {
 	if o := rt.obs; o != nil {
 		o.event(trace.Event{Kind: trace.KindMigrate, Region: r.id, Addr: rec.OldHdr, Size: int32(rec.Pages), Aux: 0})
 	}
+	rt.retire()
 	return rec, nil
 }
 
@@ -392,7 +393,7 @@ func (rt *Runtime) ImportRegion(rec *RegionRecord) (*Region, error) {
 	defer rt.space.SetMode(old)
 	rt.charge(stats.ModeAlloc, 3)
 
-	r := &Region{rt: rt, id: int32(len(rt.regions))}
+	r := &Region{rt: rt, id: rt.nextID}
 
 	type run struct {
 		first Ptr
@@ -456,7 +457,7 @@ func (rt *Runtime) ImportRegion(rec *RegionRecord) (*Region, error) {
 	r.bytes = rec.Bytes
 	r.allocs = rec.Allocs
 	r.born = rt.c.TotalCycles()
-	rt.regions = append(rt.regions, r)
+	rt.track(r)
 
 	// Re-park the record's string-pool blocks at their relocated addresses.
 	// A block the receiver cannot pool (pooling disabled, or capacity above

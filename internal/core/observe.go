@@ -74,6 +74,17 @@ func (o *observer) event(ev trace.Event) {
 	}
 }
 
+// regionDelete records r's successful deletion and, when metered, its
+// lifetime, read from the region itself: a reclaimed region leaves the
+// runtime's table right after this call.
+func (o *observer) regionDelete(r *Region) {
+	o.event(trace.Event{Kind: trace.KindRegionDelete, Region: r.id,
+		Size: int32(min(r.bytes, 1<<31-1)), Aux: int32(r.allocs)})
+	if m := o.m; m != nil {
+		m.regionLifetime.Observe(o.rt.c.TotalCycles() - r.born)
+	}
+}
+
 // strPool moves capacity class idx's parked-block gauge by delta.
 func (o *observer) strPool(idx, delta int) {
 	if m := o.m; m != nil {

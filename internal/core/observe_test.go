@@ -191,11 +191,21 @@ func TestObservationAgreement(t *testing.T) {
 		count := map[trace.Kind]uint64{}
 		sizes := map[trace.Kind]uint64{}
 		migrations := map[int32]uint64{}
+		born := map[int32]uint64{} // region id -> cycle it was created or imported
+		var lifetimes uint64
 		for _, ev := range tr.Events() {
 			count[ev.Kind]++
 			sizes[ev.Kind] += uint64(ev.Size)
-			if ev.Kind == trace.KindMigrate {
+			switch ev.Kind {
+			case trace.KindMigrate:
 				migrations[ev.Aux]++
+				if ev.Aux == 1 {
+					born[ev.Region] = ev.Cycle
+				}
+			case trace.KindRegionCreate:
+				born[ev.Region] = ev.Cycle
+			case trace.KindRegionDelete:
+				lifetimes += ev.Cycle - born[ev.Region]
 			}
 		}
 		sum := func(m map[trace.Kind]uint64, kinds ...trace.Kind) uint64 {
@@ -231,6 +241,17 @@ func TestObservationAgreement(t *testing.T) {
 				t.Errorf("seed %d: %s = %d, events %d, counters %d (want equal and nonzero)",
 					seed, tc.series, got, tc.events, tc.counters)
 			}
+		}
+		// The lifetime histogram reads each region's birth from the region
+		// itself, which leaves the runtime's table once reclaimed; it must
+		// still agree with the births and deaths the trace records.
+		deletes := count[trace.KindRegionDelete]
+		if deletes <= 128 {
+			t.Errorf("seed %d: workload deleted %d regions, want more than 128", seed, deletes)
+		}
+		if h, ok := snap.Histogram("regions_core_region_lifetime_cycles"); !ok || h.Count != deletes || h.Sum != lifetimes {
+			t.Errorf("seed %d: lifetime histogram %+v, want count %d (delete events) and sum %d (trace lifetimes)",
+				seed, h, deletes, lifetimes)
 		}
 		if migrations[0] == 0 || migrations[1] == 0 {
 			t.Errorf("seed %d: workload made %d exports and %d imports, want both", seed, migrations[0], migrations[1])

@@ -103,6 +103,16 @@ func (rt *Runtime) detachEntry(first Ptr, n int, r *Region) {
 	rt.freePages = append(rt.freePages, first)
 }
 
+// unsweep retires one page of r's sweep debt, swept or cancelled by
+// reuse, and retires r itself from the region table with its last page.
+func (rt *Runtime) unsweep(r *Region) {
+	r.unswept--
+	rt.sweepDebt--
+	if r.unswept == 0 {
+		rt.retire()
+	}
+}
+
 // cancelDetached clears the detached flags of any flagged pages in the run
 // about to be reused. The caller re-zeroes the pages, so their deferred
 // poisoning is no longer owed; the debt just disappears. Host-side only —
@@ -116,8 +126,7 @@ func (rt *Runtime) cancelDetached(first Ptr, n int) {
 		pg := int(first>>mem.PageShift) + i
 		if r := rt.pages.detachedAt(pg); r != nil {
 			rt.pages.clearDetached(pg)
-			r.unswept--
-			rt.sweepDebt--
+			rt.unsweep(r)
 			cancelled++
 		}
 	}
@@ -153,8 +162,7 @@ func (rt *Runtime) sweepSlice(budget int) int {
 			pg := int(e.first >> mem.PageShift)
 			if r := rt.pages.detachedAt(pg); r != nil {
 				rt.pages.clearDetached(pg)
-				r.unswept--
-				rt.sweepDebt--
+				rt.unsweep(r)
 				rt.space.PoisonPageFree(e.first)
 				rt.charge(stats.ModeFree, 1)
 				swept++

@@ -29,6 +29,15 @@ import (
 //
 // Checks, in order:
 //
+//  0. Runtime tables: every last-region translation cache entry must agree
+//     with the page index, and the region table must list ids in strictly
+//     increasing (creation) order, below the next id to assign. Every
+//     entry must be live, detached (pages awaiting their sweep), or one of
+//     the fully reclaimed entries the table counts as compaction slack;
+//     the table must stay within twice its other entries plus the
+//     compaction floor, and the detached entries' unswept pages must sum to
+//     the sweep debt, so no detached page belongs to a region the table
+//     has let go.
 //  1. Page census: both page lists of every live region are walked (with a
 //     cycle bound); every page they cover must be mapped, claimed by exactly
 //     one list, and attributed to that region in the page→region map.
@@ -90,6 +99,33 @@ func (rt *Runtime) verify() *Fault {
 				"stale translation cache entry: page %d cached as region %d, owned by %d",
 				e.page, regionID(e.r), regionID(owner))
 		}
+	}
+
+	// The region table (see retire).
+	prev, slack, debt := int32(-1), 0, 0
+	for _, r := range rt.regions {
+		if r.id <= prev || r.id >= rt.nextID {
+			return rt.invariant(r.hdr, r.id,
+				"region table out of creation order: id %d after %d, next id %d",
+				r.id, prev, rt.nextID)
+		}
+		prev = r.id
+		if reclaimedRegion(r) {
+			slack++
+		}
+		debt += r.unswept
+	}
+	if slack != int(rt.reclaimed) {
+		return rt.invariant(0, -1, "region table holds %d reclaimed entries, counts %d",
+			slack, rt.reclaimed)
+	}
+	if n := len(rt.regions); n > 2*(n-slack)+regionTableFloor {
+		return rt.invariant(0, -1, "region table compaction overdue: %d of %d entries reclaimed",
+			slack, n)
+	}
+	if debt != rt.sweepDebt {
+		return rt.invariant(0, -1, "sweep debt is %d pages but tracked regions owe %d",
+			rt.sweepDebt, debt)
 	}
 
 	// 1-4. Heap structure: page census, page map, free lists, object headers.

@@ -92,10 +92,12 @@ type Space struct {
 }
 
 // NewSpace returns an empty address space whose accesses are charged to c.
-// Page 0 is reserved so that address 0 stays invalid.
+// Page 0 is reserved so that address 0 stays invalid. The page table grows
+// with the pages mapped, so an empty space costs the host a few hundred
+// bytes.
 func NewSpace(c *stats.Counters) *Space {
 	s := &Space{
-		pages:  make([]*page, 1, 1024),
+		pages:  make([]*page, 1),
 		c:      c,
 		charge: true,
 	}

@@ -30,6 +30,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 
 	"regions/internal/apps/appkit"
@@ -419,6 +420,13 @@ func (sv *server) newShardState(eng *shard.Engine, reg *metrics.Registry, i int)
 	}
 }
 
+// submitChunk is how many sessions Run hands the shard engine per
+// SubmitBatch. It bounds the host memory of submission — the driver's task
+// buffer and the engine's per-queue copies — to one chunk instead of a
+// whole phase, and is large enough that every shard's queue is refilled
+// many times per chunk.
+const submitChunk = 256
+
 // Run executes one serving run: draw the schedule, pin every session to its
 // home shard, serve, drain, verify every shard's heap, and report. The only
 // error returns are infrastructure failures (a task panic, a corrupt heap at
@@ -512,32 +520,37 @@ func Run(cfg Config) (*Result, error) {
 
 	keys := homeKeys(eng)
 	sessions := genSessions(cfg)
-	// submitWait submits one batch of sessions as pinned tasks and blocks
+	// submitWait submits one phase of sessions as pinned tasks and blocks
 	// until every completion callback has fired — a full engine barrier,
 	// which the resize path needs between its two phases. The single-phase
-	// path uses it too; waiting before Close is free.
+	// path uses it too; waiting before Close is free. Sessions go to the
+	// engine submitChunk at a time through one reused task buffer, so the
+	// host holds one chunk's tasks however long the phase; each chunk's
+	// SubmitBatch returns once all of it is queued, so every shard's pinned
+	// FIFO still sees its sessions in schedule order.
+	tasks := make([]shard.Task, 0, submitChunk)
 	submitWait := func(batch []*session) {
-		if len(batch) == 0 {
-			return
-		}
 		var done sync.WaitGroup
 		done.Add(len(batch))
-		tasks := make([]shard.Task, len(batch))
-		for i, s := range batch {
-			s := s
-			st := states[s.shard]
-			tasks[i] = shard.Task{
-				Name:     fmt.Sprintf("sess-%d", s.id),
-				Affinity: keys[s.shard],
-				Pin:      true, // the session's regions live on this runtime
-				Run:      func(appkit.RegionEnv) uint32 { return sv.serveOne(st, s) },
-				Done: func(res shard.TaskResult) {
-					sv.complete(st, s, res)
-					done.Done()
-				},
+		for len(batch) > 0 {
+			chunk := batch[:min(submitChunk, len(batch))]
+			batch = batch[len(chunk):]
+			tasks = tasks[:0]
+			for _, s := range chunk {
+				st := states[s.shard]
+				tasks = append(tasks, shard.Task{
+					Name:     "sess-" + strconv.Itoa(s.id),
+					Affinity: keys[s.shard],
+					Pin:      true, // the session's regions live on this runtime
+					Run:      func(appkit.RegionEnv) uint32 { return sv.serveOne(st, s) },
+					Done: func(res shard.TaskResult) {
+						sv.complete(st, s, res)
+						done.Done()
+					},
+				})
 			}
+			eng.SubmitBatch(tasks)
 		}
-		eng.SubmitBatch(tasks)
 		done.Wait()
 	}
 

@@ -9,6 +9,7 @@ import (
 
 	"regions/internal/mem"
 	"regions/internal/metrics"
+	"regions/internal/trace"
 )
 
 // testConfig is a small, fast serving run used by most tests.
@@ -358,5 +359,66 @@ func TestOverloadErrorChains(t *testing.T) {
 				t.Fatal("empty error message")
 			}
 		})
+	}
+}
+
+// TestServeChunkedSubmit serves a little over three submit chunks on two
+// shards and checks what chunked submission must not change. Every session
+// completes exactly once, and each shard's completions arrive in increasing
+// session order across chunk boundaries: complete emits a session's spans,
+// so each shard's span events must name strictly increasing sessions, none
+// seen before. A second run must return an equal Result.
+func TestServeChunkedSubmit(t *testing.T) {
+	n := 3*submitChunk + 5
+	run := func() (*Result, *trace.Tracer) {
+		tr := trace.New(16*n + 1024)
+		res, err := Run(Config{Sessions: n, Seed: 1, Shards: 2, Rate: 200, Spans: true, SpanTracer: tr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.Dropped() != 0 {
+			t.Fatalf("span ring dropped %d events", tr.Dropped())
+		}
+		return res, tr
+	}
+	a, tr := run()
+	if a.Completed != uint64(n) || a.ShedQueue != 0 || a.ShedOOM != 0 {
+		t.Fatalf("completed %d of %d sessions (shed %d queue, %d oom), want all",
+			a.Completed, n, a.ShedQueue, a.ShedOOM)
+	}
+	shardOf := map[int]int{} // session -> shard whose completions named it
+	last := map[int]int{}    // shard -> last session its completions named
+	for _, ev := range tr.Events() {
+		if ev.Kind != trace.KindSpanBegin || ev.Addr == 0 {
+			continue // shard-track spans carry no session
+		}
+		sid, sh := int(ev.Addr)-1, int(ev.Region)
+		if prev, ok := last[sh]; ok && sid == prev {
+			continue // the same session's next phase
+		} else if ok && sid < prev {
+			t.Fatalf("shard %d completed session %d after session %d", sh, sid, prev)
+		}
+		if other, dup := shardOf[sid]; dup {
+			t.Fatalf("session %d completed on shard %d and again on shard %d", sid, other, sh)
+		}
+		shardOf[sid], last[sh] = sh, sid
+	}
+	if len(shardOf) != n || len(last) != 2 {
+		t.Fatalf("completions named %d sessions on %d shards, want %d on 2", len(shardOf), len(last), n)
+	}
+	if b, _ := run(); !reflect.DeepEqual(a, b) {
+		t.Errorf("results differ across same-seed runs:\n  a: %+v\n  b: %+v", a, b)
+	}
+}
+
+// BenchmarkServeMixAllocs serves the default six-profile mix, 2,000
+// sessions on 2 shards, and reports the host allocations of a whole run:
+// submission, serving and the shard runtimes' region bookkeeping.
+func BenchmarkServeMixAllocs(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(Config{Sessions: 2000, Seed: 1, Shards: 2, Rate: 330}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
