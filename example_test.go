@@ -91,8 +91,15 @@ func ExampleSystem_trace() {
 	t := regions.NewTracer(64)
 	sys.SetTracer(t)
 
+	// A cleanup registered with RegisterCleanup may call Destroy, so the
+	// deletion walks the region and traces one cleanup per object. A region
+	// holding only SizeCleanup objects skips the walk and traces none.
+	cln := sys.RegisterCleanup("cell", func(rt *regions.Runtime, obj regions.Ptr) int {
+		rt.Destroy(rt.Space().Load(obj))
+		return 8
+	})
 	r := sys.NewRegion()
-	p := sys.Ralloc(r, 8, sys.SizeCleanup(8))
+	p := sys.Ralloc(r, 8, cln)
 	g := sys.AllocGlobals(1)
 	sys.StoreGlobalPtr(g, p) // global barrier fires, blocks deletion
 	sys.DeleteRegion(r)      // refused: the global still points into r

@@ -16,9 +16,10 @@ import (
 // cycles per op — and decide pass/fail. The regression gate keys on the
 // micro benchmarks' simulated cycles: they are scale-independent and
 // deterministic, so they compare meaningfully even when the old report was
-// generated at a different -scale-div, while raw counter totals and
-// makespans (timing-dependent under work stealing) are printed as context
-// only.
+// generated at a different -scale-div. At the artifact's own config it also
+// gates the checksums and the serve scenario's latency percentiles and
+// mapped bytes (see compareServe), while raw counter totals and makespans
+// (timing-dependent under work stealing) are printed as context only.
 
 // DefaultCompareThreshold is the allowed fractional increase in a micro
 // benchmark's simulated cycles per op before the comparison fails. The
@@ -52,8 +53,9 @@ func LoadReport(path string) (*Report, error) {
 // CompareReports prints a delta report of cur against old — micro
 // benchmarks, throughput, and the Snapshot.Sub counter/histogram diff —
 // and returns the list of regressions: micro benchmarks whose simulated
-// cycles per op grew by more than threshold. An empty list means the gate
-// passes.
+// cycles per op grew by more than threshold and, at the same config,
+// changed checksums or a serve latency or mapped-bytes increase. An empty
+// list means the gate passes.
 func CompareReports(w io.Writer, old, cur *Report, threshold float64) []string {
 	var regressions []string
 

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"regions/internal/serve"
 )
 
 func writeTempReport(t *testing.T, name, content string) string {
@@ -102,5 +104,60 @@ func TestCompareReportsChecksumGate(t *testing.T) {
 	cur.ScaleDiv = 8 // different workload size: context only
 	if regs := CompareReports(io.Discard, old, cur, DefaultCompareThreshold); len(regs) != 0 {
 		t.Fatalf("checksum flagged across differing configs: %v", regs)
+	}
+}
+
+// TestCompareServeGate perturbs a copy of the checked-in artifact's serve
+// scenario by one unit per gated field: each perturbation must fail the
+// comparison with exactly one regression naming that field, while the
+// unchanged copy, a one-unit improvement, and a different config pass.
+func TestCompareServeGate(t *testing.T) {
+	old, err := LoadReport(filepath.Join("..", "..", "BENCH_PR10.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if old.Serve == nil {
+		t.Fatal("artifact has no serve scenario")
+	}
+	clone := func() *Report {
+		r := *old
+		s := *old.Serve
+		r.Serve = &s
+		return &r
+	}
+	if regs := CompareReports(io.Discard, old, clone(), DefaultCompareThreshold); len(regs) != 0 {
+		t.Fatalf("unchanged copy regressed: %v", regs)
+	}
+	fields := []struct {
+		name string
+		bump func(r *serve.Result, d int)
+	}{
+		{"p50Cycles", func(r *serve.Result, d int) { r.P50 += uint64(d) }},
+		{"p99Cycles", func(r *serve.Result, d int) { r.P99 += uint64(d) }},
+		{"p999Cycles", func(r *serve.Result, d int) { r.P999 += uint64(d) }},
+		{"mappedBytes", func(r *serve.Result, d int) { r.MappedBytes += uint64(d) }},
+		{"checksum", func(r *serve.Result, d int) { r.Checksum += uint32(d) }},
+	}
+	for _, f := range fields {
+		cur := clone()
+		f.bump(cur.Serve, 1)
+		regs := CompareReports(io.Discard, old, cur, DefaultCompareThreshold)
+		if len(regs) != 1 || !strings.Contains(regs[0], "serve: "+f.name) {
+			t.Errorf("%s +1: regressions = %v, want one naming the field", f.name, regs)
+		}
+		if f.name == "checksum" {
+			continue // any change is a regression, not just growth
+		}
+		cur = clone()
+		f.bump(cur.Serve, -1)
+		if regs := CompareReports(io.Discard, old, cur, DefaultCompareThreshold); len(regs) != 0 {
+			t.Errorf("%s -1: improvement regressed: %v", f.name, regs)
+		}
+		cur = clone()
+		f.bump(cur.Serve, 1)
+		cur.ScaleDiv++
+		if regs := CompareReports(io.Discard, old, cur, DefaultCompareThreshold); len(regs) != 0 {
+			t.Errorf("%s +1 at another config: gated context: %v", f.name, regs)
+		}
 	}
 }

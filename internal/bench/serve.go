@@ -231,9 +231,11 @@ func compareStrAB(w io.Writer, old, cur *Report, sameConfig bool) []string {
 	return regressions
 }
 
-// compareServe prints the serve-scenario delta as context and returns a
-// regression when both reports ran the identical scenario but disagree on
-// its deterministic checksum.
+// compareServe prints the serve-scenario delta as context. When both
+// reports ran the identical scenario it is also a gate: the checksum must
+// match, and the simulated latency percentiles and mapped bytes — exact and
+// host-independent — may not grow by even one unit. Each regression names
+// its field.
 func compareServe(w io.Writer, old, cur *Report, sameConfig bool) []string {
 	if old.Serve == nil || cur.Serve == nil {
 		return nil
@@ -241,13 +243,31 @@ func compareServe(w io.Writer, old, cur *Report, sameConfig bool) []string {
 	o, c := old.Serve, cur.Serve
 	fmt.Fprintf(w, "\nserve (%d sessions, seed %d): p50 %d -> %d, p99 %d -> %d, p999 %d -> %d sim cycles\n",
 		c.Sessions, c.Seed, o.P50, c.P50, o.P99, c.P99, o.P999, c.P999)
-	fmt.Fprintf(w, "  completed %d -> %d, shed %d -> %d (queue %d/%d, oom %d/%d)\n",
+	fmt.Fprintf(w, "  completed %d -> %d, shed %d -> %d (queue %d/%d, oom %d/%d), mapped %d -> %d bytes\n",
 		o.Completed, c.Completed,
 		o.ShedQueue+o.ShedOOM, c.ShedQueue+c.ShedOOM,
-		o.ShedQueue, c.ShedQueue, o.ShedOOM, c.ShedOOM)
-	if sameConfig && o.Sessions == c.Sessions && o.Checksum != c.Checksum {
-		return []string{fmt.Sprintf("serve: checksum %08x, artifact has %08x — serving results changed",
-			c.Checksum, o.Checksum)}
+		o.ShedQueue, c.ShedQueue, o.ShedOOM, c.ShedOOM, o.MappedBytes, c.MappedBytes)
+	if !sameConfig || o.Sessions != c.Sessions {
+		return nil
 	}
-	return nil
+	var regressions []string
+	if o.Checksum != c.Checksum {
+		regressions = append(regressions, fmt.Sprintf("serve: checksum %08x, artifact has %08x — serving results changed",
+			c.Checksum, o.Checksum))
+	}
+	for _, g := range []struct {
+		field    string
+		old, cur uint64
+	}{
+		{"p50Cycles", o.P50, c.P50},
+		{"p99Cycles", o.P99, c.P99},
+		{"p999Cycles", o.P999, c.P999},
+		{"mappedBytes", o.MappedBytes, c.MappedBytes},
+	} {
+		if g.cur > g.old {
+			regressions = append(regressions, fmt.Sprintf("serve: %s %d, artifact has %d — serving got worse",
+				g.field, g.cur, g.old))
+		}
+	}
+	return regressions
 }

@@ -28,21 +28,42 @@ type CleanupFunc func(rt *Runtime, obj Ptr) int
 type cleanupEntry struct {
 	name string
 	fn   CleanupFunc
+	// sizeOnly marks a RegisterSizeCleanup cleanup: it calls no Destroy
+	// and returns size, so deletion need not call it (see runCleanups).
+	sizeOnly bool
+	size     int
 }
 
 // RegisterCleanup registers fn under a diagnostic name and returns its id.
+// The runtime treats fn as general: it may call Destroy, so every region
+// holding an object with this cleanup runs the Figure 7 walk at deletion.
 func (rt *Runtime) RegisterCleanup(name string, fn CleanupFunc) CleanupID {
 	if fn == nil {
 		panic("core: nil cleanup function")
 	}
-	rt.cleanups = append(rt.cleanups, cleanupEntry{name, fn})
+	rt.cleanups = append(rt.cleanups, cleanupEntry{name: name, fn: fn})
 	return CleanupID(len(rt.cleanups))
 }
 
-// SizeCleanup returns a cleanup for pointer-free objects of exactly size
-// bytes. Results are cached per size. Such objects could use RstrAlloc
-// instead; SizeCleanup exists for data that must live among scanned objects
-// or wants ralloc's clearing.
+// RegisterSizeCleanup registers, under a diagnostic name, a cleanup for
+// objects of exactly size bytes that hold no counted region pointers: it
+// calls no Destroy and returns size. A region whose objects all use such
+// cleanups skips the charged cleanup walk at deletion; its headers are
+// still checked, uncharged, so a corrupt one faults as before.
+func (rt *Runtime) RegisterSizeCleanup(name string, size int) CleanupID {
+	if size < 0 {
+		panic("core: negative cleanup size")
+	}
+	rt.cleanups = append(rt.cleanups, cleanupEntry{name: name,
+		fn: func(*Runtime, Ptr) int { return size }, sizeOnly: true, size: size})
+	return CleanupID(len(rt.cleanups))
+}
+
+// SizeCleanup returns the size-only cleanup "size<n>" for pointer-free
+// objects of exactly size bytes (see RegisterSizeCleanup). Results are
+// cached per size. Such objects could use RstrAlloc instead; SizeCleanup
+// exists for data that must live among scanned objects or wants ralloc's
+// clearing.
 func (rt *Runtime) SizeCleanup(size int) CleanupID {
 	if rt.sizeCleanups == nil {
 		rt.sizeCleanups = make(map[int]CleanupID)
@@ -50,8 +71,7 @@ func (rt *Runtime) SizeCleanup(size int) CleanupID {
 	if id, ok := rt.sizeCleanups[size]; ok {
 		return id
 	}
-	id := rt.RegisterCleanup(fmt.Sprintf("size%d", size),
-		func(_ *Runtime, _ Ptr) int { return size })
+	id := rt.RegisterSizeCleanup(fmt.Sprintf("size%d", size), size)
 	rt.sizeCleanups[size] = id
 	return id
 }
@@ -99,12 +119,28 @@ func (rt *Runtime) Destroy(p Ptr) {
 // runCleanups walks every normal-allocator page entry of r and invokes each
 // object's cleanup, following Figure 7 of the paper. The end of an entry's
 // filled prefix is marked by a zero header word.
+//
+// Only a region that holds an object with a general cleanup (r.walk) runs
+// that charged walk. In any other region no cleanup can call Destroy, so
+// the walk only checks each header, with charging off as Verify does: a
+// corrupt header, or one naming a general cleanup, still faults, but no
+// cleanup is called, charged, counted or traced.
 func (rt *Runtime) runCleanups(r *Region) {
+	if !r.walk {
+		rt.space.Uncharged(func() { rt.cleanupWalk(r, false) })
+		return
+	}
 	old := rt.space.SetMode(stats.ModeCleanup)
 	defer rt.space.SetMode(old)
 	rt.deleting = r
 	defer func() { rt.deleting = nil }()
+	rt.cleanupWalk(r, true)
+}
 
+// cleanupWalk is runCleanups' object walk. With call set it charges and
+// calls every cleanup; otherwise it advances by each size-only cleanup's
+// registered size and faults on any other header.
+func (rt *Runtime) cleanupWalk(r *Region, call bool) {
 	homePage := r.hdr &^ Ptr(mem.PageSize-1)
 	entry := rt.space.Load(r.hdr + offNormalFirst)
 	for entry != 0 {
@@ -122,29 +158,40 @@ func (rt *Runtime) runCleanups(r *Region) {
 			if hdr == 0 {
 				break // end of filled prefix
 			}
-			rt.c.CleanupCalls++
-			rt.charge(stats.ModeCleanup, 3)
+			if call {
+				rt.c.CleanupCalls++
+				rt.charge(stats.ModeCleanup, 3)
+			}
 			id := CleanupID(hdr &^ arrayFlag)
 			if id <= 0 || int(id) > len(rt.cleanups) {
 				panic(rt.fault(FaultCorruptHeader, deleting, r.id,
 					fmt.Sprintf("corrupt object header %#x", hdr), nil))
 			}
-			fn := rt.cleanups[id-1].fn
+			cln := &rt.cleanups[id-1]
+			if !call && !cln.sizeOnly {
+				panic(rt.fault(FaultCorruptHeader, deleting, r.id,
+					fmt.Sprintf("object header %#x names general cleanup %q in a walk-free region",
+						hdr, cln.name), nil))
+			}
 			obj, size, n := deleting+mem.WordSize, 0, -1
 			if hdr&arrayFlag != 0 {
 				n = int(rt.space.Load(deleting + 4))
 				esz := int(rt.space.Load(deleting + 8))
 				obj = deleting + 3*mem.WordSize
-				for i := 0; i < n; i++ {
-					fn(rt, obj+Ptr(i*esz))
+				if call {
+					for i := 0; i < n; i++ {
+						cln.fn(rt, obj+Ptr(i*esz))
+					}
 				}
 				size = n * esz
+			} else if call {
+				size = align4(cln.fn(rt, obj))
 			} else {
-				size = align4(fn(rt, obj))
+				size = align4(cln.size)
 			}
-			if o := rt.obs; o != nil {
+			if o := rt.obs; o != nil && call {
 				o.event(trace.Event{Kind: trace.KindCleanup, Region: r.id, Addr: obj,
-					Size: int32(size), Aux: int32(n), Site: rt.cleanups[id-1].name})
+					Size: int32(size), Aux: int32(n), Site: cln.name})
 			}
 			deleting = obj + Ptr(size)
 		}

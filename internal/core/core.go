@@ -124,6 +124,10 @@ type Region struct {
 	allocs  uint64
 	born    uint64 // simulated cycle of creation, for the lifetime histogram
 	deleted bool
+	// walk marks a region holding an object whose cleanup is general
+	// (RegisterCleanup), so deletion must run the charged cleanup walk.
+	// Host-side like bytes and allocs; never charged. See runCleanups.
+	walk bool
 	// migrated marks a region ExportRegion handed off to another runtime:
 	// deleted is also set (the pages are gone from this runtime), and stale
 	// handles fault with FaultMigratedRegion instead of FaultDeletedRegion.
@@ -618,6 +622,7 @@ func (rt *Runtime) TryRalloc(r *Region, size int, cln CleanupID) (Ptr, error) {
 
 	r.bytes += uint64(data)
 	r.allocs++
+	r.walk = r.walk || !rt.cleanups[cln-1].sizeOnly
 	rt.c.AddAlloc(int64(data))
 	if o := rt.obs; o != nil {
 		o.event(trace.Event{Kind: trace.KindRalloc, Region: r.id, Addr: p + mem.WordSize,
@@ -667,6 +672,7 @@ func (rt *Runtime) TryRarrayAlloc(r *Region, n, elemSize int, cln CleanupID) (Pt
 
 	r.bytes += uint64(data)
 	r.allocs++
+	r.walk = r.walk || !rt.cleanups[cln-1].sizeOnly
 	rt.c.AddAlloc(int64(data))
 	if o := rt.obs; o != nil {
 		o.event(trace.Event{Kind: trace.KindRarrayAlloc, Region: r.id, Addr: p + 3*mem.WordSize,

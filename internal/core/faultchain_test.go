@@ -90,6 +90,22 @@ func TestFaultErrorChains(t *testing.T) {
 			},
 		},
 		{
+			name: "corrupt-header-general-cleanup", kind: FaultCorruptHeader,
+			trigger: func(t *testing.T) error {
+				rt, _ := newRT(true)
+				r := rt.NewRegion()
+				cln := rt.RegisterCleanup("node", func(rt *Runtime, obj Ptr) int {
+					rt.Destroy(rt.Space().Load(obj))
+					return 16
+				})
+				p := rt.Ralloc(r, 16, cln)
+				// The general cleanup makes the deletion run the charged
+				// walk, which must refuse the stomped header just the same.
+				rt.Space().Store(p-mem.WordSize, 0x0ffffff0)
+				return catchFault(t, func() { rt.DeleteRegion(r) })
+			},
+		},
+		{
 			name: "deleted-region", kind: FaultDeletedRegion,
 			trigger: func(t *testing.T) error {
 				rt, _ := newRT(true)

@@ -17,14 +17,22 @@ func TestTraceEventOrdering(t *testing.T) {
 	tr := trace.New(1 << 12)
 	rt.SetTracer(tr)
 
-	cln := rt.SizeCleanup(16)
+	// A general cleanup (it destroys the object's first word) makes r1 and
+	// r2 run the cleanup walk; r3 holds only size-only objects and skips it.
+	cln := rt.RegisterCleanup("node", func(rt *Runtime, obj Ptr) int {
+		rt.Destroy(rt.Space().Load(obj))
+		return 16
+	})
 	f := rt.PushFrame(2)
 
 	r1 := rt.NewRegion()
 	r2 := rt.NewRegion()
+	r3 := rt.NewRegion()
 	p1 := rt.Ralloc(r1, 16, cln)
 	p2 := rt.Ralloc(r2, 16, cln)
 	rt.RstrAlloc(r1, 8)
+	rt.Ralloc(r3, 16, rt.SizeCleanup(16))
+	rt.RarrayAlloc(r3, 3, 8, rt.SizeCleanup(8))
 
 	// A cross-region heap pointer blocks r2's deletion once. The deletion
 	// runs in an inner activation so the outer frame gets scanned (the
@@ -38,7 +46,7 @@ func TestTraceEventOrdering(t *testing.T) {
 	rt.PopFrame()
 	rt.StorePtr(p1, 0)
 	f.Set(0, 0)
-	if !rt.DeleteRegion(r2) || !rt.DeleteRegion(r1) {
+	if !rt.DeleteRegion(r2) || !rt.DeleteRegion(r1) || !rt.DeleteRegion(r3) {
 		t.Fatal("deletes failed after clearing references")
 	}
 	rt.PopFrame()
@@ -104,8 +112,8 @@ func TestTraceEventOrdering(t *testing.T) {
 		}
 	}
 
-	if len(regions) != 2 {
-		t.Fatalf("traced %d regions, want 2", len(regions))
+	if len(regions) != 3 {
+		t.Fatalf("traced %d regions, want 3", len(regions))
 	}
 	for id, s := range regions {
 		if !s.created || !s.deleted {
@@ -119,12 +127,16 @@ func TestTraceEventOrdering(t *testing.T) {
 			t.Errorf("region %d: %d events after its region-delete", id, s.afterDeath)
 		}
 	}
-	// Each region got one ralloc with a size cleanup; r1 also an rstralloc.
+	// r1 and r2 got one ralloc with a general cleanup each, r1 also an
+	// rstralloc; r3's two size-only objects are deleted without a walk.
 	if s := get(regionID(r1)); s.allocs != 2 || s.cleanups != 1 {
 		t.Errorf("r1: %d allocs, %d cleanups; want 2, 1", s.allocs, s.cleanups)
 	}
 	if s := get(regionID(r2)); s.allocs != 1 || s.cleanups != 1 {
 		t.Errorf("r2: %d allocs, %d cleanups; want 1, 1", s.allocs, s.cleanups)
+	}
+	if s := get(regionID(r3)); s.allocs != 2 || s.cleanups != 0 {
+		t.Errorf("r3 (size-only): %d allocs, %d cleanups; want 2, 0", s.allocs, s.cleanups)
 	}
 	if !sawFail {
 		t.Error("no region-delete-fail traced for the refused deletion")

@@ -52,7 +52,9 @@ import (
 //     region's unswept count.
 //  4. Object headers: every normal-allocator entry's filled prefix must
 //     parse as a sequence of valid headers whose extents (cleanup sizes,
-//     array bounds) stay inside the entry.
+//     array bounds) stay inside the entry. A region not flagged for the
+//     cleanup walk must hold only size-only (RegisterSizeCleanup) headers,
+//     or its deletion would skip a cleanup that may call Destroy.
 //  5. String pools: every block parked on a region's capacity-class free
 //     lists (RstrFree) must lie on that region's own string pages inside
 //     the head page's allocated prefix, be filed under the class its

@@ -94,6 +94,28 @@ func TestVerifyCatchesCorruptHeader(t *testing.T) {
 	wantInvariant(t, rt, "corrupt object header")
 }
 
+// TestVerifyCatchesUnflaggedWalkRegion mutates the host-side walk flag: a
+// region holding a general-cleanup object but not flagged for the cleanup
+// walk would skip a cleanup that may call Destroy, so Verify must name it.
+func TestVerifyCatchesUnflaggedWalkRegion(t *testing.T) {
+	rt, regs := buildHealthyHeap(t)
+	// A size-only region is legitimately unflagged.
+	free := rt.NewRegion()
+	rt.Ralloc(free, 8, rt.SizeCleanup(8))
+	if free.walk {
+		t.Fatal("size-only region flagged for the cleanup walk")
+	}
+	if err := rt.Verify(); err != nil {
+		t.Fatalf("verify before mutation: %v", err)
+	}
+	regs[1].walk = false
+	wantInvariant(t, rt, "walk-free region holds an object with general cleanup")
+	var f *Fault
+	if errors.As(rt.Verify(), &f); f.Region != regs[1].id {
+		t.Fatalf("violation names region %d, want %d", f.Region, regs[1].id)
+	}
+}
+
 func TestVerifyCatchesStrayWriteIntoFreedPage(t *testing.T) {
 	rt, _ := buildHealthyHeap(t)
 	if len(rt.freePages) == 0 {

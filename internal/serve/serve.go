@@ -1139,11 +1139,12 @@ func (sv *server) mix(p core.Ptr, a, b uint32) uint32 {
 	return uint32(p)
 }
 
-// registerCleanups registers one cleanup per named profile site on rt. The
-// sessions' scanned objects hold only sameregion pointers, which the write
-// barrier never counts, so the cleanups have no Destroy calls to make —
-// they exist to give each site its census label and to report the object
-// size the deletion walk advances by.
+// registerCleanups registers one size-only cleanup per named profile site
+// on rt. The sessions' scanned objects hold only sameregion pointers, which
+// the write barrier never counts, so the cleanups have no Destroy calls to
+// make: they give each site its census label and its object size. Because
+// every site is registered through RegisterSizeCleanup, deleting a session
+// region skips the cleanup walk and only checks its headers, uncharged.
 func registerCleanups(rt *core.Runtime) map[string]core.CleanupID {
 	cln := map[string]core.CleanupID{}
 	for _, p := range allProfiles() {
@@ -1155,17 +1156,14 @@ func registerCleanups(rt *core.Runtime) map[string]core.CleanupID {
 				if _, ok := cln[sc.name]; ok {
 					continue
 				}
-				size := sc.size
-				cln[sc.name] = rt.RegisterCleanup(sc.name,
-					func(*core.Runtime, core.Ptr) int { return size })
+				cln[sc.name] = rt.RegisterSizeCleanup(sc.name, sc.size)
 			}
 		}
 	}
 	// The tenant-state site is registered on every shard — including shards
 	// grown by a resize — because ImportRegion remaps cleanups by name and
 	// refuses a record whose names the receiver has never registered.
-	cln[tenantSite] = rt.RegisterCleanup(tenantSite,
-		func(*core.Runtime, core.Ptr) int { return tenantNodeSize })
+	cln[tenantSite] = rt.RegisterSizeCleanup(tenantSite, tenantNodeSize)
 	return cln
 }
 

@@ -355,6 +355,13 @@ func (s *System) RegisterCleanup(name string, fn CleanupFunc) CleanupID {
 // SizeCleanup returns a cleanup for pointer-free objects of a fixed size.
 func (s *System) SizeCleanup(size int) CleanupID { return s.rt.SizeCleanup(size) }
 
+// RegisterSizeCleanup registers a named cleanup for objects of a fixed size
+// that hold no counted region pointers. A region whose objects all use such
+// cleanups is deleted without running its cleanup walk.
+func (s *System) RegisterSizeCleanup(name string, size int) CleanupID {
+	return s.rt.RegisterSizeCleanup(name, size)
+}
+
 // --- bound region handles ------------------------------------------------------
 
 // Handle is a region handle bound to its System, so call sites stop
