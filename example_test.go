@@ -91,15 +91,18 @@ func ExampleSystem_trace() {
 	t := regions.NewTracer(64)
 	sys.SetTracer(t)
 
-	// A cleanup registered with RegisterCleanup may call Destroy, so the
-	// deletion walks the region and traces one cleanup per object. A region
-	// holding only SizeCleanup objects skips the walk and traces none.
+	// r holds a counted pointer into another region, so its deletion walks
+	// it: the cell's cleanup destroys the pointer, then the walk traces one
+	// cleanup per object. A region holding no such pointer skips the walk
+	// and traces none.
 	cln := sys.RegisterCleanup("cell", func(rt *regions.Runtime, obj regions.Ptr) int {
 		rt.Destroy(rt.Space().Load(obj))
 		return 8
 	})
 	r := sys.NewRegion()
 	p := sys.Ralloc(r, 8, cln)
+	keep := sys.NewRegion()
+	sys.StorePtr(p, sys.Ralloc(keep, 8, sys.SizeCleanup(8))) // counted: r -> keep
 	g := sys.AllocGlobals(1)
 	sys.StoreGlobalPtr(g, p) // global barrier fires, blocks deletion
 	sys.DeleteRegion(r)      // refused: the global still points into r
@@ -112,9 +115,13 @@ func ExampleSystem_trace() {
 	// Output:
 	// region-create
 	// ralloc
+	// region-create
+	// ralloc
+	// barrier-region
 	// barrier-global
 	// region-delete-fail
 	// barrier-global
+	// destroy
 	// cleanup
 	// region-delete
 }

@@ -7,6 +7,7 @@ import (
 
 	"regions/internal/apps/appkit"
 	"regions/internal/core"
+	"regions/internal/stats"
 )
 
 // Ablations measures the design choices the paper singles out:
@@ -17,15 +18,19 @@ import (
 //     placing every region header at the same page offset.
 //  3. The sameregion optimization (Section 4.2.2): how many region writes
 //     avoided count updates because source and target share a region.
+//  4. The cleanup walk (Figure 7) at every deletion, as the paper's library
+//     does, against walking only regions that hold outgoing counted
+//     pointers, the runtime's default.
 //
-// Each ablation runs real benchmarks with the variant runtime.
+// Each ablation runs real benchmarks with the variant runtime. Every run
+// but ablation 4's skipping arm walks every deletion (paperOpts).
 func Ablations(w io.Writer, s *Suite) {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "Ablation 1: deferred (high-water mark) vs eager local counting")
 	fmt.Fprintln(tw, "Name\tdeferred safety Mcycles\teager safety Mcycles\teager/deferred")
 	for _, app := range Apps() {
 		def := s.RegionRun(app, "safe", false, false).Counters
-		eag := s.customRun(app, "eager", core.Options{Safe: true, EagerLocals: true}, false)
+		eag := s.customRun(app, "eager", eagerOpts(), false)
 		fmt.Fprintf(tw, "%s\t%.2f\t%.2f\t%.2fx\n", app.Name,
 			float64(def.SafetyCycles())/1e6,
 			float64(eag.Counters.SafetyCycles())/1e6,
@@ -39,7 +44,9 @@ func Ablations(w io.Writer, s *Suite) {
 	fmt.Fprintln(tw, "Name\tcolored\tuncolored")
 	for _, app := range Apps() {
 		col := s.RegionRun(app, "safe", false, true).Counters
-		unc := s.customRun(app, "nocolor", core.Options{Safe: true, NoColoring: true}, true)
+		opts := paperOpts(true)
+		opts.NoColoring = true
+		unc := s.customRun(app, "nocolor", opts, true)
 		fmt.Fprintf(tw, "%s\t%.3f\t%.3f\n", app.Name,
 			float64(col.ReadStalls)/1e6,
 			float64(unc.Counters.ReadStalls)/1e6)
@@ -60,6 +67,27 @@ func Ablations(w io.Writer, s *Suite) {
 			c.Barriers.Region, c.Barriers.SameRegion, share)
 	}
 	tw.Flush()
+	fmt.Fprintln(w)
+
+	tw = tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(w, "Ablation 4: cleanup walk at every deletion vs only with outgoing counted pointers (Mcycles)")
+	fmt.Fprintln(tw, "Name\twalk-all cleanup\twalk-all safety\tskip cleanup\tskip safety")
+	for _, app := range Apps() {
+		all, skip := s.cleanupSkipRuns(app)
+		a, k := all.Counters, skip.Counters
+		fmt.Fprintf(tw, "%s\t%.2f\t%.2f\t%.2f\t%.2f\n", app.Name,
+			float64(a.Cycles[stats.ModeCleanup])/1e6, float64(a.SafetyCycles())/1e6,
+			float64(k.Cycles[stats.ModeCleanup])/1e6, float64(k.SafetyCycles())/1e6)
+	}
+	tw.Flush()
+}
+
+// cleanupSkipRuns returns ablation 4's two arms for app: the paper's
+// walk-every-deletion runtime and the default runtime, which walks only
+// regions holding outgoing counted pointers.
+func (s *Suite) cleanupSkipRuns(app appkit.App) (walkAll, skip Result) {
+	return s.RegionRun(app, "safe", false, false),
+		s.customRun(app, "skip", core.Options{Safe: true}, false)
 }
 
 // customRun measures app on a region runtime with explicit options.
@@ -77,4 +105,8 @@ func (s *Suite) customRun(app appkit.App, tag string, opts core.Options, withCac
 
 // eagerOpts returns the options of the eager-locals ablation (exported to
 // the tests through the package boundary).
-func eagerOpts() core.Options { return core.Options{Safe: true, EagerLocals: true} }
+func eagerOpts() core.Options {
+	opts := paperOpts(true)
+	opts.EagerLocals = true
+	return opts
+}

@@ -4,13 +4,15 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"regions/internal/stats"
 )
 
 func TestAblationsRender(t *testing.T) {
 	var buf bytes.Buffer
 	Ablations(&buf, quickSuite())
 	out := buf.String()
-	for _, want := range []string{"Ablation 1", "Ablation 2", "Ablation 3", "sameregion", "coloring"} {
+	for _, want := range []string{"Ablation 1", "Ablation 2", "Ablation 3", "Ablation 4", "sameregion", "coloring"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q:\n%s", want, out)
 		}
@@ -33,6 +35,30 @@ func TestDeferredBeatsEagerOnFrameHeavyApp(t *testing.T) {
 	if eag.SafetyCycles() <= def.SafetyCycles() {
 		t.Fatalf("eager (%d) should cost more than deferred (%d)",
 			eag.SafetyCycles(), def.SafetyCycles())
+	}
+}
+
+// TestCleanupSkipAblation pins ablation 4: walking only regions that hold
+// outgoing counted pointers never costs cleanup cycles on any app, leaves
+// every checksum alone, and makes grobner's safety strictly cheaper. (On
+// lcc and moss the outgoing-count updates can outweigh the few walks
+// skipped, so total safety is not pinned there.)
+func TestCleanupSkipAblation(t *testing.T) {
+	s := quickSuite()
+	for _, app := range Apps() {
+		all, skip := s.cleanupSkipRuns(app)
+		if skip.Checksum != all.Checksum {
+			t.Errorf("%s: checksum %#x skipping, %#x walking", app.Name, skip.Checksum, all.Checksum)
+		}
+		a, k := all.Counters, skip.Counters
+		if k.Cycles[stats.ModeCleanup] > a.Cycles[stats.ModeCleanup] {
+			t.Errorf("%s: skipping costs %d cleanup cycles, walking every deletion %d",
+				app.Name, k.Cycles[stats.ModeCleanup], a.Cycles[stats.ModeCleanup])
+		}
+		if app.Name == "grobner" && k.SafetyCycles() >= a.SafetyCycles() {
+			t.Errorf("grobner: safety %d cycles skipping, %d walking; want strictly cheaper",
+				k.SafetyCycles(), a.SafetyCycles())
+		}
 	}
 }
 

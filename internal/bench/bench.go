@@ -14,6 +14,7 @@ import (
 	"regions/internal/apps/moss"
 	"regions/internal/apps/mudlle"
 	"regions/internal/apps/tile"
+	"regions/internal/core"
 	"regions/internal/stats"
 )
 
@@ -87,14 +88,20 @@ func (s *Suite) MallocRun(app appkit.App, kind string, withCache bool) Result {
 	return r
 }
 
-// RegionRun measures app under the real region runtime ("safe" or
-// "unsafe"); slow selects moss's original single-region organization.
+// paperOpts are the runtime options of the paper's region library, which
+// every Suite run uses unless an ablation varies them: safe or unsafe, with
+// the charged cleanup walk at every deletion (core.Options.NoCleanupSkip).
+func paperOpts(safe bool) core.Options { return core.Options{Safe: safe, NoCleanupSkip: true} }
+
+// RegionRun measures app under the paper's region library ("safe" or
+// "unsafe"; see paperOpts); slow selects moss's original single-region
+// organization.
 func (s *Suite) RegionRun(app appkit.App, kind string, slow, withCache bool) Result {
 	key := fmt.Sprintf("r/%s/%s/%v/%v", app.Name, kind, slow, withCache)
 	if r, ok := s.cache[key]; ok {
 		return r
 	}
-	e := appkit.NewRegionEnv(kind, appkit.Config{Cache: withCache})
+	e := appkit.NewCustomRegionEnv(kind, paperOpts(kind == "safe"), appkit.Config{Cache: withCache})
 	run := app.Region
 	if slow {
 		if app.SlowRegion == nil {

@@ -119,12 +119,13 @@ func TestCompareServeGate(t *testing.T) {
 	if old.Serve == nil {
 		t.Fatal("artifact has no serve scenario")
 	}
-	clone := func() *Report {
-		r := *old
-		s := *old.Serve
+	cloneOf := func(from *Report) *Report {
+		r := *from
+		s := *from.Serve
 		r.Serve = &s
 		return &r
 	}
+	clone := func() *Report { return cloneOf(old) }
 	if regs := CompareReports(io.Discard, old, clone(), DefaultCompareThreshold); len(regs) != 0 {
 		t.Fatalf("unchanged copy regressed: %v", regs)
 	}
@@ -158,6 +159,40 @@ func TestCompareServeGate(t *testing.T) {
 		cur.ScaleDiv++
 		if regs := CompareReports(io.Discard, old, cur, DefaultCompareThreshold); len(regs) != 0 {
 			t.Errorf("%s +1 at another config: gated context: %v", f.name, regs)
+		}
+	}
+
+	// The checksum sums completed sessions only, so it gates only when the
+	// completed and shed counts match the artifact's; more sheds fail on
+	// their own. Tried against a copy of the artifact that sheds.
+	shedding := clone()
+	shedding.Serve.ShedQueue, shedding.Serve.ShedOOM = 5, 3
+	shedding.Serve.Completed -= 8
+	for _, tc := range []struct {
+		name  string
+		edit  func(r *serve.Result)
+		field string // the one regression's field, or "" for none
+		note  bool   // "checksum not comparable" is printed
+	}{
+		{"checksum at equal counts", func(r *serve.Result) { r.Checksum++ }, "checksum", false},
+		{"checksum with fewer sheds", func(r *serve.Result) {
+			r.Checksum++
+			r.ShedQueue -= 2
+			r.Completed += 2
+		}, "", true},
+		{"more queue sheds", func(r *serve.Result) { r.ShedQueue++; r.Completed-- }, "shedQueue", true},
+		{"more oom sheds", func(r *serve.Result) { r.ShedOOM++; r.Completed-- }, "shedOOM", true},
+	} {
+		cur := cloneOf(shedding)
+		tc.edit(cur.Serve)
+		var out strings.Builder
+		regs := CompareReports(&out, shedding, cur, DefaultCompareThreshold)
+		if tc.field == "" && len(regs) != 0 ||
+			tc.field != "" && (len(regs) != 1 || !strings.Contains(regs[0], "serve: "+tc.field)) {
+			t.Errorf("%s: regressions = %v, want one naming %q", tc.name, regs, tc.field)
+		}
+		if got := strings.Contains(out.String(), "checksum not comparable (completed "); got != tc.note {
+			t.Errorf("%s: not-comparable note printed = %v, want %v:\n%s", tc.name, got, tc.note, out.String())
 		}
 	}
 }

@@ -232,10 +232,12 @@ func compareStrAB(w io.Writer, old, cur *Report, sameConfig bool) []string {
 }
 
 // compareServe prints the serve-scenario delta as context. When both
-// reports ran the identical scenario it is also a gate: the checksum must
-// match, and the simulated latency percentiles and mapped bytes — exact and
-// host-independent — may not grow by even one unit. Each regression names
-// its field.
+// reports ran the identical scenario it is also a gate: the shed counts,
+// simulated latency percentiles and mapped bytes — exact and
+// host-independent — may not grow by even one unit, and each regression
+// names its field. The checksum sums completed sessions only, so a faster
+// runtime that sheds fewer sessions changes it legitimately: it must match
+// only when the completed and shed counts all match the artifact's.
 func compareServe(w io.Writer, old, cur *Report, sameConfig bool) []string {
 	if old.Serve == nil || cur.Serve == nil {
 		return nil
@@ -251,7 +253,10 @@ func compareServe(w io.Writer, old, cur *Report, sameConfig bool) []string {
 		return nil
 	}
 	var regressions []string
-	if o.Checksum != c.Checksum {
+	switch {
+	case o.Completed != c.Completed || o.ShedQueue != c.ShedQueue || o.ShedOOM != c.ShedOOM:
+		fmt.Fprintf(w, "  checksum not comparable (completed %d -> %d)\n", o.Completed, c.Completed)
+	case o.Checksum != c.Checksum:
 		regressions = append(regressions, fmt.Sprintf("serve: checksum %08x, artifact has %08x — serving results changed",
 			c.Checksum, o.Checksum))
 	}
@@ -259,6 +264,8 @@ func compareServe(w io.Writer, old, cur *Report, sameConfig bool) []string {
 		field    string
 		old, cur uint64
 	}{
+		{"shedQueue", o.ShedQueue, c.ShedQueue},
+		{"shedOOM", o.ShedOOM, c.ShedOOM},
 		{"p50Cycles", o.P50, c.P50},
 		{"p99Cycles", o.P99, c.P99},
 		{"p999Cycles", o.P999, c.P999},

@@ -29,14 +29,16 @@ type cleanupEntry struct {
 	name string
 	fn   CleanupFunc
 	// sizeOnly marks a RegisterSizeCleanup cleanup: it calls no Destroy
-	// and returns size, so deletion need not call it (see runCleanups).
+	// and returns size, so a check walk need not call it (see runCleanups).
 	sizeOnly bool
 	size     int
 }
 
 // RegisterCleanup registers fn under a diagnostic name and returns its id.
-// The runtime treats fn as general: it may call Destroy, so every region
-// holding an object with this cleanup runs the Figure 7 walk at deletion.
+// The runtime treats fn as general: it may call Destroy. It is called,
+// charged, when a region that holds outgoing counted pointers is deleted;
+// in any other region it is only dry-run, uncharged, to check that it
+// finds no pointer the region's count missed (see runCleanups).
 func (rt *Runtime) RegisterCleanup(name string, fn CleanupFunc) CleanupID {
 	if fn == nil {
 		panic("core: nil cleanup function")
@@ -47,9 +49,9 @@ func (rt *Runtime) RegisterCleanup(name string, fn CleanupFunc) CleanupID {
 
 // RegisterSizeCleanup registers, under a diagnostic name, a cleanup for
 // objects of exactly size bytes that hold no counted region pointers: it
-// calls no Destroy and returns size. A region whose objects all use such
-// cleanups skips the charged cleanup walk at deletion; its headers are
-// still checked, uncharged, so a corrupt one faults as before.
+// calls no Destroy and returns size. Deletion never needs to call it: a
+// check walk steps over the object by size, so a corrupt header still
+// faults.
 func (rt *Runtime) RegisterSizeCleanup(name string, size int) CleanupID {
 	if size < 0 {
 		panic("core: negative cleanup size")
@@ -93,8 +95,14 @@ func (rt *Runtime) encodeCleanup(cln CleanupID, array bool) Word {
 // object (the paper's destroy). It decrements the target region's reference
 // count unless the pointer is nil, points outside any region, or points back
 // into the region being deleted (sameregion pointers were never counted).
+// During the check walk of a region with no outgoing counted pointers it
+// changes nothing and only checks the pointer (see checkDestroy).
 func (rt *Runtime) Destroy(p Ptr) {
 	if !rt.safe || rt.verifying {
+		return
+	}
+	if rt.checking {
+		rt.checkDestroy(p)
 		return
 	}
 	rt.c.DestroyCalls++
@@ -116,31 +124,75 @@ func (rt *Runtime) Destroy(p Ptr) {
 	}
 }
 
-// runCleanups walks every normal-allocator page entry of r and invokes each
-// object's cleanup, following Figure 7 of the paper. The end of an entry's
-// filled prefix is marked by a zero header word.
-//
-// Only a region that holds an object with a general cleanup (r.walk) runs
-// that charged walk. In any other region no cleanup can call Destroy, so
-// the walk only checks each header, with charging off as Verify does: a
-// corrupt header, or one naming a general cleanup, still faults, but no
-// cleanup is called, charged, counted or traced.
-func (rt *Runtime) runCleanups(r *Region) {
-	if !r.walk {
-		rt.space.Uncharged(func() { rt.cleanupWalk(r, false) })
+// checkDestroy is Destroy in the check walk of a region whose outgoing
+// count is zero. The pointer may be nil, outside every region, or into the
+// dying region itself; a pointer into a deleted region faults exactly as
+// Destroy does, and one into another live region faults too, because the
+// zero count says no such pointer was stored through the barrier. It looks
+// the page up directly, leaving the translation cache as it was.
+func (rt *Runtime) checkDestroy(p Ptr) {
+	reg := rt.pages.lookup(p)
+	if reg == nil || reg == rt.deleting {
 		return
+	}
+	if reg.deleted {
+		panic(rt.fault(FaultDanglingDestroy, p, reg.id,
+			"Destroy found a pointer into a deleted region", nil))
+	}
+	panic(rt.fault(FaultUncountedPointer, p, rt.deleting.id,
+		fmt.Sprintf("Destroy found a pointer into region#%d in a region whose outgoing count is zero",
+			reg.id), nil))
+}
+
+// runCleanups runs r's cleanups at deletion. It walks every normal-allocator
+// page entry of r and invokes each object's cleanup, following Figure 7 of
+// the paper; the end of an entry's filled prefix is marked by a zero header
+// word.
+//
+// Only a region holding outgoing counted pointers (r.out > 0), or every
+// region under Options.NoCleanupSkip, runs that charged walk: in any other
+// region no Destroy can change a count. Those regions get a check walk
+// instead, with charging off as in Verify: general cleanups are dry-run
+// with Destroy only checking its pointer, size-only cleanups are stepped
+// over by their registered size, and no cleanup is charged, counted or
+// traced. A corrupt header, or a pointer into a deleted region or into a
+// live region the count missed, is returned as a *Fault before the region
+// changes. The charged walk panics with the same faults.
+func (rt *Runtime) runCleanups(r *Region) *Fault {
+	if r.out == 0 && !rt.opts.NoCleanupSkip {
+		return rt.checkWalk(r)
 	}
 	old := rt.space.SetMode(stats.ModeCleanup)
 	defer rt.space.SetMode(old)
 	rt.deleting = r
 	defer func() { rt.deleting = nil }()
 	rt.cleanupWalk(r, true)
+	return nil
 }
 
-// cleanupWalk is runCleanups' object walk. With call set it charges and
-// calls every cleanup; otherwise it advances by each size-only cleanup's
-// registered size and faults on any other header.
-func (rt *Runtime) cleanupWalk(r *Region, call bool) {
+// checkWalk is runCleanups' uncharged check walk. It recovers the *Fault
+// that a header check or a checking Destroy panics with, so the caller can
+// refuse the deletion.
+func (rt *Runtime) checkWalk(r *Region) (f *Fault) {
+	rt.deleting, rt.checking = r, true
+	defer func() {
+		rt.deleting, rt.checking = nil, false
+		if p := recover(); p != nil {
+			var ok bool
+			if f, ok = p.(*Fault); !ok {
+				panic(p)
+			}
+		}
+	}()
+	rt.space.Uncharged(func() { rt.cleanupWalk(r, false) })
+	return nil
+}
+
+// cleanupWalk is runCleanups' object walk. With charged set it charges,
+// counts and traces every cleanup it calls and calls every cleanup;
+// otherwise it calls only general cleanups and advances over each size-only
+// one by its registered size.
+func (rt *Runtime) cleanupWalk(r *Region, charged bool) {
 	homePage := r.hdr &^ Ptr(mem.PageSize-1)
 	entry := rt.space.Load(r.hdr + offNormalFirst)
 	for entry != 0 {
@@ -158,7 +210,7 @@ func (rt *Runtime) cleanupWalk(r *Region, call bool) {
 			if hdr == 0 {
 				break // end of filled prefix
 			}
-			if call {
+			if charged {
 				rt.c.CleanupCalls++
 				rt.charge(stats.ModeCleanup, 3)
 			}
@@ -168,11 +220,7 @@ func (rt *Runtime) cleanupWalk(r *Region, call bool) {
 					fmt.Sprintf("corrupt object header %#x", hdr), nil))
 			}
 			cln := &rt.cleanups[id-1]
-			if !call && !cln.sizeOnly {
-				panic(rt.fault(FaultCorruptHeader, deleting, r.id,
-					fmt.Sprintf("object header %#x names general cleanup %q in a walk-free region",
-						hdr, cln.name), nil))
-			}
+			call := charged || !cln.sizeOnly
 			obj, size, n := deleting+mem.WordSize, 0, -1
 			if hdr&arrayFlag != 0 {
 				n = int(rt.space.Load(deleting + 4))
@@ -189,7 +237,7 @@ func (rt *Runtime) cleanupWalk(r *Region, call bool) {
 			} else {
 				size = align4(cln.size)
 			}
-			if o := rt.obs; o != nil && call {
+			if o := rt.obs; o != nil && charged {
 				o.event(trace.Event{Kind: trace.KindCleanup, Region: r.id, Addr: obj,
 					Size: int32(size), Aux: int32(n), Site: cln.name})
 			}

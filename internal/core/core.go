@@ -124,10 +124,6 @@ type Region struct {
 	allocs  uint64
 	born    uint64 // simulated cycle of creation, for the lifetime histogram
 	deleted bool
-	// walk marks a region holding an object whose cleanup is general
-	// (RegisterCleanup), so deletion must run the charged cleanup walk.
-	// Host-side like bytes and allocs; never charged. See runCleanups.
-	walk bool
 	// migrated marks a region ExportRegion handed off to another runtime:
 	// deleted is also set (the pages are gone from this runtime), and stale
 	// handles fault with FaultMigratedRegion instead of FaultDeletedRegion.
@@ -138,6 +134,14 @@ type Region struct {
 	// deleted one, but its pages still carry stale contents on the free
 	// lists. See sweep.go.
 	unswept int
+	// out counts the counted pointers the region's own objects hold into
+	// other regions, exactly: StorePtr adjusts it whenever its count
+	// update changes the slot's region's net outgoing total. Deletion runs
+	// the charged cleanup walk only while it is nonzero (see runCleanups).
+	// It lives host-side so the in-heap region structure keeps its five
+	// words, but each update is charged as the load and store it would
+	// cost on the structure's line.
+	out int
 	// strPool holds the region's per-capacity-class free lists of
 	// explicitly freed rstralloc blocks, host-side like the runtime's free
 	// page lists; strPoolBytes sums their recorded capacities for the heap
@@ -203,6 +207,12 @@ type Options struct {
 	// to a power of two; default defaultStrPoolMax). Requests above it are
 	// "Big": bump-allocated, counted, never pooled.
 	StrPoolMax int
+	// NoCleanupSkip makes every deletion run the charged Figure 7 cleanup
+	// walk, as the paper's library does, instead of only deletions of
+	// regions holding outgoing counted pointers. The outgoing counts are
+	// still kept (host-side, uncharged) so Verify audits them in both
+	// arms. The paper's figures and tables use it.
+	NoCleanupSkip bool
 }
 
 // Runtime is one region-based memory management instance over one simulated
@@ -270,6 +280,10 @@ type Runtime struct {
 	globalRanges [][2]Ptr
 
 	deleting *Region // region currently being cleaned up, for Destroy
+	// checking marks the uncharged check walk of a region with no outgoing
+	// counted pointers: Destroy then only checks its pointer (see
+	// runCleanups).
+	checking bool
 
 	// verifying makes Destroy an immediate no-op so Verify can dry-run
 	// cleanup functions to measure object extents without touching counts.
@@ -622,7 +636,6 @@ func (rt *Runtime) TryRalloc(r *Region, size int, cln CleanupID) (Ptr, error) {
 
 	r.bytes += uint64(data)
 	r.allocs++
-	r.walk = r.walk || !rt.cleanups[cln-1].sizeOnly
 	rt.c.AddAlloc(int64(data))
 	if o := rt.obs; o != nil {
 		o.event(trace.Event{Kind: trace.KindRalloc, Region: r.id, Addr: p + mem.WordSize,
@@ -672,7 +685,6 @@ func (rt *Runtime) TryRarrayAlloc(r *Region, n, elemSize int, cln CleanupID) (Pt
 
 	r.bytes += uint64(data)
 	r.allocs++
-	r.walk = r.walk || !rt.cleanups[cln-1].sizeOnly
 	rt.c.AddAlloc(int64(data))
 	if o := rt.obs; o != nil {
 		o.event(trace.Event{Kind: trace.KindRarrayAlloc, Region: r.id, Addr: p + 3*mem.WordSize,
@@ -835,8 +847,10 @@ func (rt *Runtime) DeleteRegion(r *Region) bool {
 // deleted; live external references make it a failing no-op returning
 // (false, nil), exactly like DeleteRegion. Misuse — deleting an
 // already-deleted region — returns (false, *Fault) with kind
-// FaultDeletedRegion instead of panicking. A nil region is an API-misuse
-// panic, as everywhere else in the runtime.
+// FaultDeletedRegion instead of panicking. So does the check walk of a
+// region with no outgoing counted pointers when it finds a corrupt header or
+// a pointer its count missed (see runCleanups): the region is left intact.
+// A nil region is an API-misuse panic, as everywhere else in the runtime.
 func (rt *Runtime) TryDeleteRegion(r *Region) (bool, error) {
 	if r == nil {
 		panic("core: nil region")
@@ -853,7 +867,9 @@ func (rt *Runtime) TryDeleteRegion(r *Region) (bool, error) {
 			}
 			return false, nil
 		}
-		rt.runCleanups(r)
+		if f := rt.runCleanups(r); f != nil {
+			return false, f
+		}
 	}
 
 	// The string pool dies with the region: its blocks live on the string

@@ -178,8 +178,11 @@ func TestListCopyExample(t *testing.T) {
 	}
 }
 
+// TestSameRegionPointersNotCounted builds a list inside one region: no
+// count moves, inward or outward. The runtime walks every deletion
+// (NoCleanupSkip), so the test also pins that the walk reaches every object.
 func TestSameRegionPointersNotCounted(t *testing.T) {
-	rt, c := newRT(true)
+	rt, c := newRTOpts(Options{Safe: true, NoCleanupSkip: true})
 	cln := rt.RegisterCleanup("list", listCleanup)
 	r := rt.NewRegion()
 	var l Ptr
@@ -188,6 +191,9 @@ func TestSameRegionPointersNotCounted(t *testing.T) {
 	}
 	if rc := r.RC(); rc != 0 {
 		t.Fatalf("rc=%d after same-region list build, want 0 (cyclic structures collectable)", rc)
+	}
+	if r.out != 0 {
+		t.Fatalf("outgoing count %d after same-region list build, want 0", r.out)
 	}
 	if c.Barriers.SameRegion == 0 {
 		t.Fatal("sameregion barrier counter did not move")

@@ -52,18 +52,24 @@ const (
 	// recycled pages; the live region is the handle ImportRegion returned on
 	// the receiving runtime.
 	FaultMigratedRegion
+	// FaultUncountedPointer: the check walk of a region whose outgoing
+	// count is zero found, through a cleanup's Destroy, a pointer into
+	// another live region. Either the pointer bypassed the write barrier
+	// or the count is corrupt; a skipped walk would have missed it.
+	FaultUncountedPointer
 )
 
 var faultNames = map[FaultKind]string{
-	FaultOOM:             "oom",
-	FaultRCUnderflow:     "rc-underflow",
-	FaultCorruptHeader:   "corrupt-header",
-	FaultDeletedRegion:   "deleted-region",
-	FaultDanglingDestroy: "dangling-destroy",
-	FaultStackUnderflow:  "stack-underflow",
-	FaultInvariant:       "invariant",
-	FaultDetachedRegion:  "detached-region",
-	FaultMigratedRegion:  "migrated-region",
+	FaultOOM:              "oom",
+	FaultRCUnderflow:      "rc-underflow",
+	FaultCorruptHeader:    "corrupt-header",
+	FaultDeletedRegion:    "deleted-region",
+	FaultDanglingDestroy:  "dangling-destroy",
+	FaultStackUnderflow:   "stack-underflow",
+	FaultInvariant:        "invariant",
+	FaultDetachedRegion:   "detached-region",
+	FaultMigratedRegion:   "migrated-region",
+	FaultUncountedPointer: "uncounted-pointer",
 }
 
 // String returns the fault kind's kebab-case name (also the trace event's

@@ -93,14 +93,16 @@ func TestFaultErrorChains(t *testing.T) {
 			name: "corrupt-header-general-cleanup", kind: FaultCorruptHeader,
 			trigger: func(t *testing.T) error {
 				rt, _ := newRT(true)
-				r := rt.NewRegion()
+				r, other := rt.NewRegion(), rt.NewRegion()
 				cln := rt.RegisterCleanup("node", func(rt *Runtime, obj Ptr) int {
 					rt.Destroy(rt.Space().Load(obj))
 					return 16
 				})
+				rt.StorePtr(rt.Ralloc(r, 16, cln), rt.Ralloc(other, 8, rt.SizeCleanup(8)))
 				p := rt.Ralloc(r, 16, cln)
-				// The general cleanup makes the deletion run the charged
-				// walk, which must refuse the stomped header just the same.
+				// The outgoing counted pointer makes the deletion run the
+				// charged walk, which must refuse the stomped header just
+				// the same.
 				rt.Space().Store(p-mem.WordSize, 0x0ffffff0)
 				return catchFault(t, func() { rt.DeleteRegion(r) })
 			},
@@ -163,6 +165,20 @@ func TestFaultErrorChains(t *testing.T) {
 				// check must report it.
 				rt.Space().Store(p, 5)
 				return rt.Verify()
+			},
+		},
+		{
+			name: "uncounted-pointer", kind: FaultUncountedPointer,
+			trigger: func(t *testing.T) error {
+				rt, _ := newRT(true)
+				a, b := rt.NewRegion(), rt.NewRegion()
+				cln := rt.RegisterCleanup("ref", refCleanup)
+				// A raw store smuggles a cross-region pointer past the
+				// barrier, so a's outgoing count stays zero; the check walk
+				// that replaces its cleanup walk must refuse the deletion.
+				rt.Space().Store(rt.Ralloc(a, 8, cln), rt.Ralloc(b, 8, cln))
+				_, err := rt.TryDeleteRegion(a)
+				return err
 			},
 		},
 		{

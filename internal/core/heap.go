@@ -411,10 +411,6 @@ func (rt *Runtime) censusObjects(byID map[int32]*metrics.RegionHeap, rep *metric
 				if id <= 0 || int(id) > len(rt.cleanups) {
 					return rt.invariant(p, r.id, "corrupt object header %#x", hdr)
 				}
-				if !r.walk && !rt.cleanups[id-1].sizeOnly {
-					return rt.invariant(p, r.id,
-						"walk-free region holds an object with general cleanup %q", rt.cleanups[id-1].name)
-				}
 				var extent, data, book uint64
 				if hdr&arrayFlag != 0 {
 					n := uint64(rt.space.Load(p + 4))

@@ -456,9 +456,6 @@ func (rt *Runtime) ImportRegion(rec *RegionRecord) (*Region, error) {
 	r.hdr = newHdr
 	r.bytes = rec.Bytes
 	r.allocs = rec.Allocs
-	for _, nid := range idMap {
-		r.walk = r.walk || !rt.cleanups[nid-1].sizeOnly
-	}
 	r.born = rt.c.TotalCycles()
 	rt.track(r)
 

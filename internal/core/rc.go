@@ -45,6 +45,9 @@ func (rt *Runtime) rcDec(r *Region) {
 // dominates all six apps. The RC semantics — counts updated, sameregion
 // tallies, traced events — are identical on every path; only the cycle
 // charge differs. Options.NoRegionCache restores the flat pre-cache charge.
+// A count update that changes how many counted pointers slot's region
+// holds into other regions also updates that region's outgoing count
+// (noteOutgoing), which decides whether its deletion walks.
 //
 // Under an unsafe runtime this is a plain one-cycle store.
 func (rt *Runtime) StorePtr(slot, val Ptr) {
@@ -94,17 +97,35 @@ func (rt *Runtime) StorePtr(slot, val Ptr) {
 		rt.c.Barriers.SameRegion++
 	}
 	if rold != rnew {
+		out := 0
 		if rold != nil && rold != ra {
 			rt.rcDec(rold)
+			out--
 		}
 		if rnew != nil && rnew != ra {
 			rt.rcInc(rnew)
+			out++
+		}
+		if out != 0 && ra != nil {
+			rt.noteOutgoing(ra, out)
 		}
 	}
 	rt.space.Store(slot, val)
 	rt.space.SetMode(old)
 	if o != nil {
 		o.barrierRegion(slot, rold, rnew, sameregion, fast, start)
+	}
+}
+
+// noteOutgoing adds delta to r's outgoing count (Region.out). The count is
+// host-side, but it stands for a word beside the reference count in the
+// region structure, so unless Options.NoCleanupSkip leaves it unused the
+// update is charged as a load and a store of the structure's first word,
+// which rewrites the value it read.
+func (rt *Runtime) noteOutgoing(r *Region, delta int) {
+	r.out += delta
+	if !rt.opts.NoCleanupSkip {
+		rt.space.Store(r.hdr+offRC, rt.space.Load(r.hdr+offRC))
 	}
 }
 

@@ -10,9 +10,10 @@ import (
 )
 
 // equivSites are the object sites of the walk-skip equivalence workload.
-// Each is registered either through RegisterCleanup (a closure returning the
-// size, which the runtime must treat as general) or through
-// RegisterSizeCleanup; nothing else differs between the two runs.
+// The control run registers each through RegisterCleanup (a closure
+// returning the size, which the runtime must treat as general) on a
+// NoCleanupSkip runtime, so every deletion walks; the skipping run
+// registers each through RegisterSizeCleanup on the default runtime.
 var equivSites = []struct {
 	name string
 	size int
@@ -36,13 +37,16 @@ type equivRun struct {
 	events  int // cleanup events traced on the main runtime
 	// skipCycles and skipObjs are the cleanup-mode charge and the object
 	// count of deleting regions that hold no general object: the walks a
-	// size-only registration lets the runtime skip.
+	// zero outgoing count lets the runtime skip.
 	skipCycles, skipObjs uint64
+	// outgoing counts the barriers that changed a region's outgoing count,
+	// each charged two accesses where the count is used.
+	outgoing uint64
 }
 
 func runEquiv(t *testing.T, arm equivArm, sizeOnly bool) equivRun {
 	t.Helper()
-	opts := Options{Safe: true, DeferredDelete: arm.deferred}
+	opts := Options{Safe: true, DeferredDelete: arm.deferred, NoCleanupSkip: !sizeOnly}
 	rt, _ := newRTOpts(opts)
 	peer, _ := newRTOpts(opts)
 	tr := trace.New(1 << 16)
@@ -125,6 +129,7 @@ func runEquiv(t *testing.T, arm equivArm, sizeOnly bool) equivRun {
 		if arm.general && step%2 == 1 {
 			p := rt.Ralloc(l.r, 8, general)
 			rt.StorePtr(p, target) // counted: the general cleanup releases it
+			run.outgoing++
 			run.addrs = append(run.addrs, p)
 			l.general = true
 			l.objs++
@@ -165,12 +170,12 @@ func runEquiv(t *testing.T, arm equivArm, sizeOnly bool) equivRun {
 	return run
 }
 
-// migrateVia exports r from rt, imports it into peer, and brings it back:
-// both imports recompute the walk flag from the record's cleanup names.
+// migrateVia exports r from rt, imports it into peer, and brings it back.
+// Export refuses cross-region pointers, so every import starts with an
+// outgoing count of zero.
 func migrateVia(t *testing.T, rt, peer *Runtime, r *Region) *Region {
 	t.Helper()
 	for _, hop := range [2][2]*Runtime{{rt, peer}, {peer, rt}} {
-		walk := r.walk
 		rec, err := hop[0].ExportRegion(r)
 		if err != nil {
 			t.Fatalf("export: %v", err)
@@ -178,19 +183,22 @@ func migrateVia(t *testing.T, rt, peer *Runtime, r *Region) *Region {
 		if r, err = hop[1].ImportRegion(rec); err != nil {
 			t.Fatalf("import: %v", err)
 		}
-		if r.walk != walk {
-			t.Fatalf("import recomputed walk flag %v, exported region had %v", r.walk, walk)
+		if r.out != 0 {
+			t.Fatalf("imported region has outgoing count %d, want 0", r.out)
 		}
 	}
 	return r
 }
 
-// TestSizeCleanupSkipsWalkEquivalently runs one seeded workload twice, with
-// every site registered through RegisterCleanup and through
-// RegisterSizeCleanup. Skipping the walk must change nothing but the walk:
-// identical address streams, content checksums and counts, a clean Verify
-// after every step, and a difference confined to cleanup mode that equals
-// the skipped walks' charges and objects.
+// TestSizeCleanupSkipsWalkEquivalently runs one seeded workload twice: with
+// every site registered through RegisterCleanup on a NoCleanupSkip runtime
+// that walks every deletion, and through RegisterSizeCleanup on the default
+// runtime, which walks only regions holding outgoing counted pointers.
+// Skipping the walk must change nothing but the walk: identical address
+// streams, content checksums and counts, a clean Verify after every step,
+// and a cleanup-mode difference that equals the skipped walks' charges and
+// objects. The one other difference is the outgoing-count update the
+// skipping runtime charges: two rc-mode accesses per count change.
 func TestSizeCleanupSkipsWalkEquivalently(t *testing.T) {
 	arms := []struct {
 		name string
@@ -246,7 +254,12 @@ func TestSizeCleanupSkipsWalkEquivalently(t *testing.T) {
 				t.Errorf("regions with a general object did not walk: %d cleanups, %d destroys",
 					s.CleanupCalls, s.DestroyCalls)
 			}
+			if d := s.Cycles[stats.ModeRC] - g.Cycles[stats.ModeRC]; d != 2*size.outgoing {
+				t.Errorf("rc cycles rose by %d, want 2 per outgoing-count update (%d)",
+					d, size.outgoing)
+			}
 			g.Cycles[stats.ModeCleanup], s.Cycles[stats.ModeCleanup] = 0, 0
+			g.Cycles[stats.ModeRC], s.Cycles[stats.ModeRC] = 0, 0
 			g.CleanupCalls, s.CleanupCalls = 0, 0
 			if g != s {
 				t.Fatalf("counters outside the cleanup walk differ:\n%+v\n%+v", g, s)

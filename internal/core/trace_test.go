@@ -17,8 +17,9 @@ func TestTraceEventOrdering(t *testing.T) {
 	tr := trace.New(1 << 12)
 	rt.SetTracer(tr)
 
-	// A general cleanup (it destroys the object's first word) makes r1 and
-	// r2 run the cleanup walk; r3 holds only size-only objects and skips it.
+	// A general cleanup destroys the object's first word. At deletion r2
+	// holds a counted pointer into r1 and r1 one into r3, so both run the
+	// cleanup walk; r3 holds no outgoing pointer and skips it.
 	cln := rt.RegisterCleanup("node", func(rt *Runtime, obj Ptr) int {
 		rt.Destroy(rt.Space().Load(obj))
 		return 16
@@ -31,7 +32,7 @@ func TestTraceEventOrdering(t *testing.T) {
 	p1 := rt.Ralloc(r1, 16, cln)
 	p2 := rt.Ralloc(r2, 16, cln)
 	rt.RstrAlloc(r1, 8)
-	rt.Ralloc(r3, 16, rt.SizeCleanup(16))
+	p3 := rt.Ralloc(r3, 16, rt.SizeCleanup(16))
 	rt.RarrayAlloc(r3, 3, 8, rt.SizeCleanup(8))
 
 	// A cross-region heap pointer blocks r2's deletion once. The deletion
@@ -44,7 +45,8 @@ func TestTraceEventOrdering(t *testing.T) {
 		t.Fatal("delete of externally referenced region succeeded")
 	}
 	rt.PopFrame()
-	rt.StorePtr(p1, 0)
+	rt.StorePtr(p1, p3)
+	rt.StorePtr(p2, p1)
 	f.Set(0, 0)
 	if !rt.DeleteRegion(r2) || !rt.DeleteRegion(r1) || !rt.DeleteRegion(r3) {
 		t.Fatal("deletes failed after clearing references")

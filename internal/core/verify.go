@@ -52,9 +52,7 @@ import (
 //     region's unswept count.
 //  4. Object headers: every normal-allocator entry's filled prefix must
 //     parse as a sequence of valid headers whose extents (cleanup sizes,
-//     array bounds) stay inside the entry. A region not flagged for the
-//     cleanup walk must hold only size-only (RegisterSizeCleanup) headers,
-//     or its deletion would skip a cleanup that may call Destroy.
+//     array bounds) stay inside the entry.
 //  5. String pools: every block parked on a region's capacity-class free
 //     lists (RstrFree) must lie on that region's own string pages inside
 //     the head page's allocated prefix, be filed under the class its
@@ -67,7 +65,9 @@ import (
 //  7. Reference counts (safe runtime only): each live region's stored count
 //     must equal the count recomputed from heap contents — cross-region
 //     words in scanned data, global words, and scanned frame slots (all
-//     frame slots under EagerLocals).
+//     frame slots under EagerLocals). In the same scan, each live region's
+//     outgoing count must equal its cross-region words, or a deletion could
+//     skip a cleanup walk that has counts to release.
 //
 // The recomputation in (7) reads raw heap words, so it assumes the C@
 // discipline the paper's compiler enforces: a scanned-data word that equals
@@ -160,24 +160,30 @@ func (rt *Runtime) verify() *Fault {
 	return nil
 }
 
-// verifyRC recomputes every live region's exact reference count from heap
-// contents and compares it to the stored count.
+// verifyRC recomputes every live region's exact reference count and
+// outgoing count from heap contents and compares them to the stored counts.
 func (rt *Runtime) verifyRC() *Fault {
 	want := make(map[int32]uint64)
 
-	// Cross-region words in scanned (normal-allocator) data. Bookkeeping
-	// words — page links, region header fields — only ever hold same-region
+	// Cross-region words in scanned (normal-allocator) data, tallied both
+	// at their targets and at the region holding them. Bookkeeping words —
+	// page links, region header fields — only ever hold same-region
 	// addresses, so walking whole entries over-counts nothing.
 	for _, reg := range rt.regions {
 		if reg.deleted {
 			continue
 		}
-		r := reg
+		r, out := reg, 0
 		rt.forEachNormalWord(r, func(_ Ptr, v Word) {
 			if t := rt.RegionOf(v); t != nil && t != r {
 				want[t.id]++
+				out++
 			}
 		})
+		if out != r.out {
+			return rt.invariant(r.hdr, r.id,
+				"outgoing count %d, but the region holds %d cross-region pointers", r.out, out)
+		}
 	}
 
 	// Global storage, all segments ever allocated.

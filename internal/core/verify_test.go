@@ -94,25 +94,32 @@ func TestVerifyCatchesCorruptHeader(t *testing.T) {
 	wantInvariant(t, rt, "corrupt object header")
 }
 
-// TestVerifyCatchesUnflaggedWalkRegion mutates the host-side walk flag: a
-// region holding a general-cleanup object but not flagged for the cleanup
-// walk would skip a cleanup that may call Destroy, so Verify must name it.
-func TestVerifyCatchesUnflaggedWalkRegion(t *testing.T) {
+// TestVerifyCatchesWrongOutgoingCount mutates the host-side outgoing count
+// in both directions. Too low, a deletion would skip a walk with counts to
+// release; too high, it would walk for nothing. Verify must name the region
+// either way.
+func TestVerifyCatchesWrongOutgoingCount(t *testing.T) {
 	rt, regs := buildHealthyHeap(t)
-	// A size-only region is legitimately unflagged.
-	free := rt.NewRegion()
-	rt.Ralloc(free, 8, rt.SizeCleanup(8))
-	if free.walk {
-		t.Fatal("size-only region flagged for the cleanup walk")
+	// regs[1] and regs[2] each hold one pointer into the region before.
+	for i, want := range []int{0, 1, 1} {
+		if regs[i].out != want {
+			t.Fatalf("region %d: outgoing count %d, want %d", i, regs[i].out, want)
+		}
 	}
-	if err := rt.Verify(); err != nil {
-		t.Fatalf("verify before mutation: %v", err)
-	}
-	regs[1].walk = false
-	wantInvariant(t, rt, "walk-free region holds an object with general cleanup")
-	var f *Fault
-	if errors.As(rt.Verify(), &f); f.Region != regs[1].id {
-		t.Fatalf("violation names region %d, want %d", f.Region, regs[1].id)
+	for _, tc := range []struct {
+		r     *Region
+		delta int
+	}{{regs[1], -1}, {regs[0], +1}} {
+		tc.r.out += tc.delta
+		wantInvariant(t, rt, "outgoing count")
+		var f *Fault
+		if errors.As(rt.Verify(), &f); f.Region != tc.r.id {
+			t.Fatalf("violation names region %d, want %d", f.Region, tc.r.id)
+		}
+		tc.r.out -= tc.delta
+		if err := rt.Verify(); err != nil {
+			t.Fatalf("verify after restoring the count: %v", err)
+		}
 	}
 }
 

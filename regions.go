@@ -91,15 +91,16 @@ type FaultKind = core.FaultKind
 
 // Fault kinds.
 const (
-	FaultOOM             = core.FaultOOM
-	FaultRCUnderflow     = core.FaultRCUnderflow
-	FaultCorruptHeader   = core.FaultCorruptHeader
-	FaultDeletedRegion   = core.FaultDeletedRegion
-	FaultDanglingDestroy = core.FaultDanglingDestroy
-	FaultStackUnderflow  = core.FaultStackUnderflow
-	FaultInvariant       = core.FaultInvariant
-	FaultDetachedRegion  = core.FaultDetachedRegion
-	FaultMigratedRegion  = core.FaultMigratedRegion
+	FaultOOM              = core.FaultOOM
+	FaultRCUnderflow      = core.FaultRCUnderflow
+	FaultCorruptHeader    = core.FaultCorruptHeader
+	FaultDeletedRegion    = core.FaultDeletedRegion
+	FaultDanglingDestroy  = core.FaultDanglingDestroy
+	FaultStackUnderflow   = core.FaultStackUnderflow
+	FaultInvariant        = core.FaultInvariant
+	FaultDetachedRegion   = core.FaultDetachedRegion
+	FaultMigratedRegion   = core.FaultMigratedRegion
+	FaultUncountedPointer = core.FaultUncountedPointer
 )
 
 // ParWorld, ParRegion, ParWorker and ParSlot form the paper's parallel
