@@ -95,7 +95,7 @@ func main() {
 			os.Exit(2)
 		}
 		var err error
-		prof, err = metrics.HeapProfile(rt)
+		prof, err = rt.HeapReport()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "regionstat: heap profile:", err)
 			os.Exit(1)

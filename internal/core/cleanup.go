@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"regions/internal/mem"
 	"regions/internal/stats"
 	"regions/internal/trace"
 )
@@ -28,17 +27,13 @@ type CleanupFunc func(rt *Runtime, obj Ptr) int
 type cleanupEntry struct {
 	name string
 	fn   CleanupFunc
-	// sizeOnly marks a RegisterSizeCleanup cleanup: it calls no Destroy
-	// and returns size, so a check walk need not call it (see runCleanups).
-	sizeOnly bool
-	size     int
 }
 
 // RegisterCleanup registers fn under a diagnostic name and returns its id.
-// The runtime treats fn as general: it may call Destroy. It is called,
-// charged, when a region that holds outgoing counted pointers is deleted;
-// in any other region it is only dry-run, uncharged, to check that it
-// finds no pointer the region's count missed (see runCleanups).
+// The runtime treats every cleanup alike: fn may call Destroy. It is
+// called, charged, when a region that holds outgoing counted pointers is
+// deleted; in any other region it is only dry-run, uncharged, to check that
+// it finds no pointer the region's count missed (see runCleanups).
 func (rt *Runtime) RegisterCleanup(name string, fn CleanupFunc) CleanupID {
 	if fn == nil {
 		panic("core: nil cleanup function")
@@ -49,16 +44,13 @@ func (rt *Runtime) RegisterCleanup(name string, fn CleanupFunc) CleanupID {
 
 // RegisterSizeCleanup registers, under a diagnostic name, a cleanup for
 // objects of exactly size bytes that hold no counted region pointers: it
-// calls no Destroy and returns size. Deletion never needs to call it: a
-// check walk steps over the object by size, so a corrupt header still
-// faults.
+// calls no Destroy and returns size. It is a registration helper; deletion
+// calls it like any other cleanup.
 func (rt *Runtime) RegisterSizeCleanup(name string, size int) CleanupID {
 	if size < 0 {
 		panic("core: negative cleanup size")
 	}
-	rt.cleanups = append(rt.cleanups, cleanupEntry{name: name,
-		fn: func(*Runtime, Ptr) int { return size }, sizeOnly: true, size: size})
-	return CleanupID(len(rt.cleanups))
+	return rt.RegisterCleanup(name, func(*Runtime, Ptr) int { return size })
 }
 
 // SizeCleanup returns the size-only cleanup "size<n>" for pointer-free
@@ -78,10 +70,13 @@ func (rt *Runtime) SizeCleanup(size int) CleanupID {
 	return id
 }
 
+// registered reports whether id names a cleanup registered on rt.
+func (rt *Runtime) registered(id CleanupID) bool { return id > 0 && int(id) <= len(rt.cleanups) }
+
 // encodeCleanup builds the object header word: id (1-based, so headers are
 // never zero) plus an array flag bit.
 func (rt *Runtime) encodeCleanup(cln CleanupID, array bool) Word {
-	if cln <= 0 || int(cln) > len(rt.cleanups) {
+	if !rt.registered(cln) {
 		panic(fmt.Sprintf("core: invalid cleanup id %d", cln))
 	}
 	w := Word(cln)
@@ -144,17 +139,15 @@ func (rt *Runtime) checkDestroy(p Ptr) {
 			reg.id), nil))
 }
 
-// runCleanups runs r's cleanups at deletion. It walks every normal-allocator
-// page entry of r and invokes each object's cleanup, following Figure 7 of
-// the paper; the end of an entry's filled prefix is marked by a zero header
-// word.
+// runCleanups runs r's cleanups at deletion. It walks r's objects and
+// invokes each one's cleanup, following Figure 7 of the paper (see
+// forEachObject).
 //
 // Only a region holding outgoing counted pointers (r.out > 0), or every
 // region under Options.NoCleanupSkip, runs that charged walk: in any other
 // region no Destroy can change a count. Those regions get a check walk
-// instead, with charging off as in Verify: general cleanups are dry-run
-// with Destroy only checking its pointer, size-only cleanups are stepped
-// over by their registered size, and no cleanup is charged, counted or
+// instead, with charging off as in Verify: every cleanup is dry-run with
+// Destroy only checking its pointer, and no cleanup is charged, counted or
 // traced. A corrupt header, or a pointer into a deleted region or into a
 // live region the count missed, is returned as a *Fault before the region
 // changes. The charged walk panics with the same faults.
@@ -188,61 +181,35 @@ func (rt *Runtime) checkWalk(r *Region) (f *Fault) {
 	return nil
 }
 
-// cleanupWalk is runCleanups' object walk. With charged set it charges,
-// counts and traces every cleanup it calls and calls every cleanup;
-// otherwise it calls only general cleanups and advances over each size-only
-// one by its registered size.
+// cleanupWalk is runCleanups' object walk: it calls every object's cleanup,
+// once per element for an array. With charged set it also charges, counts
+// and traces each object, the charge landing before the header check as
+// the paper's loop pays it.
 func (rt *Runtime) cleanupWalk(r *Region, charged bool) {
-	homePage := r.hdr &^ Ptr(mem.PageSize-1)
-	entry := rt.space.Load(r.hdr + offNormalFirst)
-	for entry != 0 {
-		link := rt.space.Load(entry + pageLink)
-		next := link &^ Ptr(mem.PageSize-1)
-		count := int(link&(mem.PageSize-1)) + 1
-		end := entry + Ptr(count*mem.PageSize)
-
-		deleting := entry + mem.WordSize
-		if entry == homePage {
-			deleting = r.hdr + hdrBytes // skip the region structure
+	err := rt.forEachObject(r.hdr, rt.registered, func(o object) (int, error) {
+		if charged {
+			rt.c.CleanupCalls++
+			rt.charge(stats.ModeCleanup, 3)
 		}
-		for deleting < end {
-			hdr := rt.space.Load(deleting)
-			if hdr == 0 {
-				break // end of filled prefix
-			}
-			if charged {
-				rt.c.CleanupCalls++
-				rt.charge(stats.ModeCleanup, 3)
-			}
-			id := CleanupID(hdr &^ arrayFlag)
-			if id <= 0 || int(id) > len(rt.cleanups) {
-				panic(rt.fault(FaultCorruptHeader, deleting, r.id,
-					fmt.Sprintf("corrupt object header %#x", hdr), nil))
-			}
-			cln := &rt.cleanups[id-1]
-			call := charged || !cln.sizeOnly
-			obj, size, n := deleting+mem.WordSize, 0, -1
-			if hdr&arrayFlag != 0 {
-				n = int(rt.space.Load(deleting + 4))
-				esz := int(rt.space.Load(deleting + 8))
-				obj = deleting + 3*mem.WordSize
-				if call {
-					for i := 0; i < n; i++ {
-						cln.fn(rt, obj+Ptr(i*esz))
-					}
-				}
-				size = n * esz
-			} else if call {
-				size = align4(cln.fn(rt, obj))
-			} else {
-				size = align4(cln.size)
-			}
-			if o := rt.obs; o != nil && charged {
-				o.event(trace.Event{Kind: trace.KindCleanup, Region: r.id, Addr: obj,
-					Size: int32(size), Aux: int32(n), Site: cln.name})
-			}
-			deleting = obj + Ptr(size)
+		if !o.known {
+			return 0, rt.fault(FaultCorruptHeader, o.at, r.id,
+				fmt.Sprintf("corrupt object header %#x", o.hdr), nil)
 		}
-		entry = next
+		cln := &rt.cleanups[o.id-1]
+		size := o.size
+		if o.n < 0 {
+			size = align4(cln.fn(rt, o.data))
+		}
+		for i := 0; i < o.n; i++ {
+			cln.fn(rt, o.data+Ptr(i*o.esz))
+		}
+		if ob := rt.obs; ob != nil && charged {
+			ob.event(trace.Event{Kind: trace.KindCleanup, Region: r.id, Addr: o.data,
+				Size: int32(size), Aux: int32(o.n), Site: cln.name})
+		}
+		return size, nil
+	})
+	if err != nil {
+		panic(err)
 	}
 }

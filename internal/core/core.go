@@ -885,18 +885,15 @@ func (rt *Runtime) TryDeleteRegion(r *Region) (bool, error) {
 	// as sweep debt.
 	old := rt.space.SetMode(stats.ModeFree)
 	heads := [2]Ptr{rt.space.Load(r.hdr + offNormalFirst), rt.space.Load(r.hdr + offStringFirst)}
-	for _, entry := range heads {
-		for entry != 0 {
-			link := rt.space.Load(entry + pageLink)
-			next := link &^ Ptr(mem.PageSize-1)
-			count := int(link&(mem.PageSize-1)) + 1
+	for _, head := range heads {
+		rt.forEachEntry(head, func(first Ptr, pages int) bool {
 			if rt.opts.DeferredDelete {
-				rt.detachEntry(entry, count, r)
+				rt.detachEntry(first, pages, r)
 			} else {
-				rt.releaseEntry(entry, count)
+				rt.releaseEntry(first, pages)
 			}
-			entry = next
-		}
+			return true
+		})
 	}
 	rt.space.SetMode(old)
 

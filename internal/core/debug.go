@@ -48,17 +48,18 @@ func (r Ref) String() string {
 // Referrers conservatively locates every tracked reference into target: the
 // scanned (normal-allocator) data of all other live regions, global
 // storage, and every shadow-stack frame slot. It is a debugging aid — it
-// charges no cycles and may over-report words whose integer value happens
-// to alias an address in target. String-allocator data is not scanned,
-// matching its "no region pointers" contract; a pointer hidden there is
-// exactly the kind of unsafe cast the paper's C@ rules out.
+// charges no cycles, leaves the translation cache as it was, and may
+// over-report words whose integer value happens to alias an address in
+// target. String-allocator data is not scanned, matching its "no region
+// pointers" contract; a pointer hidden there is exactly the kind of unsafe
+// cast the paper's C@ rules out.
 func (rt *Runtime) Referrers(target *Region) []Ref {
 	if target == nil || target.deleted {
 		return nil
 	}
 	var refs []Ref
 	rt.space.Uncharged(func() {
-		pointsIn := func(v Ptr) bool { return v != 0 && rt.RegionOf(v) == target }
+		pointsIn := func(v Ptr) bool { return v != 0 && rt.pages.lookup(v) == target }
 
 		for _, reg := range rt.regions {
 			if reg.deleted || reg == target {

@@ -7,15 +7,21 @@ import (
 	"regions/internal/metrics"
 )
 
-// This file is the runtime's single heap-structure walk. Verify and the
-// heap profiler used to duplicate it (as did Referrers, with a third copy
-// of the entry iteration); now heapWalk audits the structural invariants —
-// page census, page↔region map agreement, free-list poison, object-header
-// parse — and, when asked, builds the machine-readable per-region report
-// (metrics.HeapReport) behind cmd/regionstat and regionbench's /heap
-// endpoint. One walk, two consumers: the profiler sees exactly the heap the
-// verifier certifies, and a structurally broken heap yields a fault, not a
-// bogus profile.
+// This file holds the runtime's walks of the region page layout. Two
+// iterators read it: forEachEntry follows a page list entry by entry, and
+// forEachObject walks a region's objects header by header (Figure 7).
+// Deletion's page release, the cleanup and check walks, the object census
+// below, forEachNormalWord (behind the reference-count verifier, Referrers
+// and ContentChecksum), export's scan and serialization, and import's
+// pointer rewrite all go through them. heapWalk's page census keeps its own
+// loop, because it must validate an entry before it reads the entry's link.
+//
+// heapWalk audits the structural invariants — page census, page↔region map
+// agreement, free-list poison, object-header parse — and, when asked, builds
+// the machine-readable per-region report (metrics.HeapReport) behind
+// cmd/regionstat and regionbench's /heap endpoint. One walk, two consumers:
+// the profiler sees exactly the heap the verifier certifies, and a
+// structurally broken heap yields a fault, not a bogus profile.
 
 // HeapReport captures a per-region heap profile: page census, live bytes,
 // occupancy, internal fragmentation, the string-vs-scanned split, and a
@@ -373,12 +379,12 @@ func (rt *Runtime) checkStrPool(r *Region, strPages map[int]bool, strHead, strAv
 	return nil
 }
 
-// censusObjects re-walks every live region's normal-allocator entries the
-// way runCleanups would, dry-running cleanup functions (Destroy disabled
-// via rt.verifying) to measure object extents without mutating counts.
-// When rep is non-nil it also fills each region's object census — object
-// count, data bytes, header bookkeeping — and the report's by-site census,
-// attributing objects to their cleanup's registered name.
+// censusObjects walks every live region's objects the way runCleanups
+// would, dry-running cleanup functions (Destroy disabled via rt.verifying)
+// to measure object extents without mutating counts. When rep is non-nil it
+// also fills each region's object census — object count, data bytes, header
+// bookkeeping — and the report's by-site census, attributing objects to
+// their cleanup's registered name.
 func (rt *Runtime) censusObjects(byID map[int32]*metrics.RegionHeap, rep *metrics.HeapReport) *Fault {
 	rt.verifying = true
 	defer func() { rt.verifying = false }()
@@ -392,62 +398,40 @@ func (rt *Runtime) censusObjects(byID map[int32]*metrics.RegionHeap, rep *metric
 			continue
 		}
 		rh := byID[r.id]
-		homePage := r.hdr &^ Ptr(mem.PageSize-1)
-		entry := rt.space.Load(r.hdr + offNormalFirst)
-		for entry != 0 {
-			link := rt.space.Load(entry + pageLink)
-			count := int(link&(mem.PageSize-1)) + 1
-			end := entry + Ptr(count*mem.PageSize)
-			p := entry + mem.WordSize
-			if entry == homePage {
-				p = r.hdr + hdrBytes
+		err := rt.forEachObject(r.hdr, rt.registered, func(o object) (int, error) {
+			if !o.known {
+				return 0, rt.invariant(o.at, r.id, "corrupt object header %#x", o.hdr)
 			}
-			for p < end {
-				hdr := rt.space.Load(p)
-				if hdr == 0 {
-					break // end of the entry's filled prefix
+			cln := &rt.cleanups[o.id-1]
+			data, book := uint64(o.size), uint64(o.data-o.at)
+			if o.n < 0 {
+				size := cln.fn(rt, o.data)
+				if size < 0 {
+					return 0, rt.invariant(o.at, r.id,
+						"cleanup %q reported negative size %d", cln.name, size)
 				}
-				id := CleanupID(hdr &^ arrayFlag)
-				if id <= 0 || int(id) > len(rt.cleanups) {
-					return rt.invariant(p, r.id, "corrupt object header %#x", hdr)
-				}
-				var extent, data, book uint64
-				if hdr&arrayFlag != 0 {
-					n := uint64(rt.space.Load(p + 4))
-					esz := uint64(rt.space.Load(p + 8))
-					data = n * esz
-					book = 3 * mem.WordSize
-					extent = book + data
-				} else {
-					size := rt.cleanups[id-1].fn(rt, p+mem.WordSize)
-					if size < 0 {
-						return rt.invariant(p, r.id,
-							"cleanup %q reported negative size %d", rt.cleanups[id-1].name, size)
-					}
-					data = uint64(align4(size))
-					book = mem.WordSize
-					extent = book + data
-				}
-				if uint64(p)+extent > uint64(end) {
-					return rt.invariant(p, r.id,
-						"object extent %d runs past its page entry", extent)
-				}
-				if rh != nil {
-					rh.Objects++
-					rh.NormalBytes += data
-					rh.BookkeepingBytes += book
-					name := rt.cleanups[id-1].name
-					s, ok := sites[name]
-					if !ok {
-						s = &metrics.HeapSite{Site: name}
-						sites[name] = s
-					}
-					s.Objects++
-					s.Bytes += data
-				}
-				p += Ptr(extent)
+				data = uint64(align4(size))
 			}
-			entry = link &^ Ptr(mem.PageSize-1)
+			if extent := book + data; uint64(o.at)+extent > uint64(o.end) {
+				return 0, rt.invariant(o.at, r.id,
+					"object extent %d runs past its page entry", extent)
+			}
+			if rh != nil {
+				rh.Objects++
+				rh.NormalBytes += data
+				rh.BookkeepingBytes += book
+				s, ok := sites[cln.name]
+				if !ok {
+					s = &metrics.HeapSite{Site: cln.name}
+					sites[cln.name] = s
+				}
+				s.Objects++
+				s.Bytes += data
+			}
+			return int(data), nil
+		})
+		if err != nil {
+			return err.(*Fault)
 		}
 	}
 	if rep != nil {
@@ -464,26 +448,99 @@ func (rt *Runtime) censusObjects(byID map[int32]*metrics.RegionHeap, rep *metric
 	return nil
 }
 
-// forEachNormalWord visits every nonzero word in reg's normal-allocator
-// page entries, skipping the link words and the region structure — the
-// scanned-data iteration shared by the reference-count verifier and
-// Referrers, which used to carry independent copies of it.
-func (rt *Runtime) forEachNormalWord(reg *Region, visit func(addr Ptr, v Word)) {
-	homePage := reg.hdr &^ Ptr(mem.PageSize-1)
-	entry := rt.space.Load(reg.hdr + offNormalFirst)
+// forEachEntry visits the entries of the page list that starts at entry,
+// head first, with each entry's page count. It reads an entry's link word
+// before it visits the entry, so visit may release the entry. A false
+// return stops the walk.
+func (rt *Runtime) forEachEntry(entry Ptr, visit func(first Ptr, pages int) bool) {
 	for entry != 0 {
 		link := rt.space.Load(entry + pageLink)
-		count := int(link&(mem.PageSize-1)) + 1
-		end := entry + Ptr(count*mem.PageSize)
-		a := entry + mem.WordSize
-		if entry == homePage {
-			a = reg.hdr + hdrBytes
+		if !visit(entry, int(link&(mem.PageSize-1))+1) {
+			return
 		}
-		for ; a < end; a += mem.WordSize {
+		entry = link &^ Ptr(mem.PageSize-1)
+	}
+}
+
+// entryData returns the first word after the bookkeeping of the
+// normal-list entry at first, in the region whose structure is at hdr:
+// past the link word, and on the home page past the region structure too.
+func entryData(hdr, first Ptr) Ptr {
+	if first == hdr&^Ptr(mem.PageSize-1) {
+		return hdr + hdrBytes
+	}
+	return first + mem.WordSize
+}
+
+// object is one ralloc'd object on a region's normal list, decoded from its
+// header word by forEachObject.
+type object struct {
+	at    Ptr       // the header word
+	hdr   Word      // the header word's value
+	id    CleanupID // the cleanup id the header names
+	known bool      // whether the walk's known accepted id
+	n     int       // element count of an array, -1 for a single object
+	esz   int       // element size of an array
+	size  int       // data bytes of an array; a single object's come from visit
+	data  Ptr       // the first data word
+	end   Ptr       // the end of the object's page entry
+}
+
+// forEachObject walks the objects on the normal list of the region whose
+// structure is at hdr, the layout Figure 7's cleanup walk reads: each entry
+// holds objects from entryData on, up to a zero header or the entry's end,
+// and each object is a header word naming its cleanup id (with arrayFlag
+// for an array, followed by the element count and size) and then its data.
+// visit returns a single object's data size, which only its cleanup can
+// tell; an array is sized from its header. A non-nil error from visit stops
+// the walk and is returned. A header whose id known rejects reaches visit
+// with o.known false and no array words read, and stops the walk after
+// visit returns: visit reports it as its caller's fault.
+func (rt *Runtime) forEachObject(hdr Ptr, known func(CleanupID) bool, visit func(o object) (int, error)) (err error) {
+	rt.forEachEntry(rt.space.Load(hdr+offNormalFirst), func(first Ptr, pages int) bool {
+		end := first + Ptr(pages*mem.PageSize)
+		for p := entryData(hdr, first); p < end; {
+			w := rt.space.Load(p)
+			if w == 0 {
+				break // end of the entry's filled prefix
+			}
+			o := object{at: p, hdr: w, id: CleanupID(w &^ arrayFlag), n: -1, data: p + mem.WordSize, end: end}
+			if o.known = known(o.id); !o.known {
+				_, err = visit(o)
+				return false
+			}
+			if w&arrayFlag != 0 {
+				o.n = int(rt.space.Load(p + 4))
+				o.esz = int(rt.space.Load(p + 8))
+				o.size = o.n * o.esz
+				o.data = p + 3*mem.WordSize
+			}
+			size, verr := visit(o)
+			if err = verr; err != nil {
+				return false
+			}
+			if o.n < 0 {
+				o.size = align4(size)
+			}
+			p = o.data + Ptr(o.size)
+		}
+		return true
+	})
+	return err
+}
+
+// forEachNormalWord visits every nonzero word in reg's normal-allocator
+// page entries, skipping the link words and the region structure — the
+// scanned-data iteration shared by the reference-count verifier,
+// Referrers and ContentChecksum.
+func (rt *Runtime) forEachNormalWord(reg *Region, visit func(addr Ptr, v Word)) {
+	rt.forEachEntry(rt.space.Load(reg.hdr+offNormalFirst), func(first Ptr, pages int) bool {
+		end := first + Ptr(pages*mem.PageSize)
+		for a := entryData(reg.hdr, first); a < end; a += mem.WordSize {
 			if v := rt.space.Load(a); v != 0 {
 				visit(a, v)
 			}
 		}
-		entry = link &^ Ptr(mem.PageSize-1)
-	}
+		return true
+	})
 }

@@ -163,3 +163,52 @@ func TestRegionCacheMeteredCountersUnchanged(t *testing.T) {
 		t.Errorf("fast barriers (%d) exceed sameregion barriers (%d)", fast, same)
 	}
 }
+
+// TestDiagnosticsLeaveTranslationCache pins that Verify and Referrers
+// measure nothing: a run of cross-region stores over 8 regions, with both
+// diagnostics called after every fifth store, must charge exactly the
+// counters and fold exactly the translation-cache series of the same run
+// without them. A diagnostic that translated through RegionOf would refill
+// the cache, so later barriers would hit or miss differently.
+func TestDiagnosticsLeaveTranslationCache(t *testing.T) {
+	type result struct {
+		c            stats.Counters
+		hits, misses uint64
+	}
+	run := func(diagnose bool) result {
+		rt, c := newRT(true)
+		reg := metrics.NewRegistry()
+		rt.SetMetrics(reg)
+		cln := rt.SizeCleanup(8)
+		var regs []*Region
+		var objs []Ptr
+		for i := 0; i < 8; i++ {
+			regs = append(regs, rt.NewRegion())
+			for j := 0; j < 8; j++ {
+				objs = append(objs, rt.Ralloc(regs[i], 8, cln))
+			}
+		}
+		for i, slot := range objs {
+			rt.StorePtr(slot, objs[(i*13+5)%len(objs)])
+			if diagnose && i%5 == 4 {
+				if err := rt.Verify(); err != nil {
+					t.Fatalf("verify after store %d: %v", i, err)
+				}
+				rt.Referrers(regs[(i+3)%len(regs)])
+			}
+		}
+		snap := reg.Snapshot()
+		hits, _ := snap.Counter("regions_core_lrcache_hits_total")
+		misses, _ := snap.Counter("regions_core_lrcache_misses_total")
+		return result{*c, hits, misses}
+	}
+	bare, diagnosed := run(false), run(true)
+	if bare.hits != diagnosed.hits || bare.misses != diagnosed.misses {
+		t.Errorf("lrcache hits/misses %d/%d with diagnostics, %d/%d without",
+			diagnosed.hits, diagnosed.misses, bare.hits, bare.misses)
+	}
+	if bare.c != diagnosed.c {
+		t.Errorf("diagnostics changed the counters (%d cycles, %d without):\nwith:    %+v\nwithout: %+v",
+			diagnosed.c.TotalCycles(), bare.c.TotalCycles(), diagnosed.c, bare.c)
+	}
+}

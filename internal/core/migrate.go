@@ -261,18 +261,16 @@ func (rt *Runtime) serializeRegion(r *Region, rec *RegionRecord) error {
 }
 
 // serializeList copies every entry of one page list, head first.
-func (rt *Runtime) serializeList(entry Ptr) []PageRun {
+func (rt *Runtime) serializeList(head Ptr) []PageRun {
 	var runs []PageRun
-	for entry != 0 {
-		link := rt.space.Load(entry + pageLink)
-		count := int(link&(mem.PageSize-1)) + 1
-		words := make([]Word, count*mem.PageSize/mem.WordSize)
+	rt.forEachEntry(head, func(first Ptr, pages int) bool {
+		words := make([]Word, pages*mem.PageSize/mem.WordSize)
 		for i := range words {
-			words[i] = rt.space.Load(entry + Ptr(i*mem.WordSize))
+			words[i] = rt.space.Load(first + Ptr(i*mem.WordSize))
 		}
-		runs = append(runs, PageRun{OldFirst: entry, Pages: count, Words: words})
-		entry = link &^ Ptr(mem.PageSize-1)
-	}
+		runs = append(runs, PageRun{OldFirst: first, Pages: pages, Words: words})
+		return true
+	})
 	return runs
 }
 
@@ -284,61 +282,28 @@ func (rt *Runtime) exportScan(r *Region, used map[CleanupID]bool) error {
 	rt.verifying = true
 	defer func() { rt.verifying = false }()
 
-	checkWords := func(from, to Ptr) error {
-		for a := from; a < to; a += mem.WordSize {
+	return rt.forEachObject(r.hdr, rt.registered, func(o object) (int, error) {
+		if !o.known {
+			return 0, rt.fault(FaultCorruptHeader, o.at, r.id,
+				fmt.Sprintf("corrupt object header %#x", o.hdr), nil)
+		}
+		used[o.id] = true
+		size := o.size
+		if o.n < 0 {
+			size = align4(rt.cleanups[o.id-1].fn(rt, o.data))
+		}
+		for a := o.data; a < o.data+Ptr(size); a += mem.WordSize {
 			w := rt.space.Load(a)
 			if w == 0 {
 				continue
 			}
 			if t := rt.pages.lookup(Ptr(w)); t != nil && t != r {
-				return fmt.Errorf("core: exportregion region#%d: word at %#x points into region#%d: %w",
+				return 0, fmt.Errorf("core: exportregion region#%d: word at %#x points into region#%d: %w",
 					r.id, a, t.id, ErrExportCrossRegion)
 			}
 		}
-		return nil
-	}
-	homePage := r.hdr &^ Ptr(mem.PageSize-1)
-	entry := rt.space.Load(r.hdr + offNormalFirst)
-	for entry != 0 {
-		link := rt.space.Load(entry + pageLink)
-		count := int(link&(mem.PageSize-1)) + 1
-		end := entry + Ptr(count*mem.PageSize)
-		p := entry + mem.WordSize
-		if entry == homePage {
-			p = r.hdr + hdrBytes
-		}
-		for p < end {
-			hdr := rt.space.Load(p)
-			if hdr == 0 {
-				break // end of the entry's filled prefix
-			}
-			id := CleanupID(hdr &^ arrayFlag)
-			if id <= 0 || int(id) > len(rt.cleanups) {
-				return rt.fault(FaultCorruptHeader, p, r.id,
-					fmt.Sprintf("corrupt object header %#x", hdr), nil)
-			}
-			used[id] = true
-			var extent Ptr
-			if hdr&arrayFlag != 0 {
-				n := int(rt.space.Load(p + 4))
-				esz := int(rt.space.Load(p + 8))
-				extent = Ptr(3*mem.WordSize + n*esz)
-			} else {
-				size := rt.cleanups[id-1].fn(rt, p+mem.WordSize)
-				extent = Ptr(mem.WordSize + align4(size))
-			}
-			var dataFrom Ptr = p + mem.WordSize
-			if hdr&arrayFlag != 0 {
-				dataFrom = p + 3*mem.WordSize
-			}
-			if err := checkWords(dataFrom, p+extent); err != nil {
-				return err
-			}
-			p += extent
-		}
-		entry = link &^ Ptr(mem.PageSize-1)
-	}
-	return nil
+		return size, nil
+	})
 }
 
 // ImportRegion materializes rec in this runtime and returns the new live
@@ -538,47 +503,23 @@ func (rt *Runtime) materialize(rec *RegionRecord, newNormal, newStr []Ptr,
 			rt.space.Store(a, npg<<mem.PageShift|w&Ptr(mem.PageSize-1))
 		}
 	}
-	newHome := newHdr &^ Ptr(mem.PageSize-1)
-	for i := range rec.Normal {
-		entry := newNormal[i]
-		end := entry + Ptr(rec.Normal[i].Pages*mem.PageSize)
-		p := entry + mem.WordSize
-		if entry == newHome {
-			p = newHdr + hdrBytes
+	known := func(id CleanupID) bool { _, ok := idMap[id]; return ok }
+	return rt.forEachObject(newHdr, known, func(o object) (int, error) {
+		if !o.known {
+			return 0, fmt.Errorf("core: importregion: object header %#x at %#x names a cleanup missing from the record",
+				o.hdr, o.at)
 		}
-		for p < end {
-			hdr := rt.space.Load(p)
-			if hdr == 0 {
-				break
-			}
-			nid, ok := idMap[CleanupID(hdr&^arrayFlag)]
-			if !ok {
-				return fmt.Errorf("core: importregion: object header %#x at %#x names a cleanup missing from the record",
-					hdr, p)
-			}
-			nh := Word(nid)
-			if hdr&arrayFlag != 0 {
-				nh |= arrayFlag
-			}
-			rt.space.Store(p, nh)
-			var extent, dataFrom Ptr
-			if hdr&arrayFlag != 0 {
-				n := int(rt.space.Load(p + 4))
-				esz := int(rt.space.Load(p + 8))
-				extent = Ptr(3*mem.WordSize + n*esz)
-				dataFrom = p + 3*mem.WordSize
-			} else {
-				size := rt.cleanups[nid-1].fn(rt, p+mem.WordSize)
-				extent = Ptr(mem.WordSize + align4(size))
-				dataFrom = p + mem.WordSize
-			}
-			for a := dataFrom; a < p+extent; a += mem.WordSize {
-				translate(a)
-			}
-			p += extent
+		nid := idMap[o.id]
+		rt.space.Store(o.at, Word(nid)|o.hdr&arrayFlag)
+		size := o.size
+		if o.n < 0 {
+			size = align4(rt.cleanups[nid-1].fn(rt, o.data))
 		}
-	}
-	return nil
+		for a := o.data; a < o.data+Ptr(size); a += mem.WordSize {
+			translate(a)
+		}
+		return size, nil
+	})
 }
 
 // ContentChecksum folds r's live contents into a placement-independent
@@ -611,18 +552,14 @@ func (rt *Runtime) contentChecksum(r *Region) uint32 {
 	// Number the region's pages in page-list order (normal first, then
 	// string); the ordinal survives relocation, the page number does not.
 	ord := map[Ptr]uint32{}
-	walk := func(entry Ptr) {
-		for entry != 0 {
-			link := rt.space.Load(entry + pageLink)
-			count := int(link&(mem.PageSize-1)) + 1
-			for i := 0; i < count; i++ {
-				ord[entry>>mem.PageShift+Ptr(i)] = uint32(len(ord))
+	for _, off := range [2]Ptr{offNormalFirst, offStringFirst} {
+		rt.forEachEntry(rt.space.Load(r.hdr+off), func(first Ptr, pages int) bool {
+			for i := 0; i < pages; i++ {
+				ord[first>>mem.PageShift+Ptr(i)] = uint32(len(ord))
 			}
-			entry = link &^ Ptr(mem.PageSize-1)
-		}
+			return true
+		})
 	}
-	walk(rt.space.Load(r.hdr + offNormalFirst))
-	walk(rt.space.Load(r.hdr + offStringFirst))
 
 	h := uint32(2166136261)
 	mix := func(v uint32) {
@@ -655,18 +592,15 @@ func (rt *Runtime) contentChecksum(r *Region) uint32 {
 		}
 	})
 	// String-allocator payloads are pointer-free: fold raw, skip the links.
-	entry := rt.space.Load(r.hdr + offStringFirst)
-	for entry != 0 {
-		link := rt.space.Load(entry + pageLink)
-		count := int(link&(mem.PageSize-1)) + 1
-		end := entry + Ptr(count*mem.PageSize)
-		for a := entry + mem.WordSize; a < end; a += mem.WordSize {
+	rt.forEachEntry(rt.space.Load(r.hdr+offStringFirst), func(first Ptr, pages int) bool {
+		end := first + Ptr(pages*mem.PageSize)
+		for a := first + mem.WordSize; a < end; a += mem.WordSize {
 			if v := rt.space.Load(a); v != 0 {
 				mix(rel(a))
 				mix(uint32(v))
 			}
 		}
-		entry = link &^ Ptr(mem.PageSize-1)
-	}
+		return true
+	})
 	return h
 }

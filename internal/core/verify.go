@@ -91,9 +91,9 @@ func (rt *Runtime) invariant(addr Ptr, region int32, format string, args ...inte
 
 func (rt *Runtime) verify() *Fault {
 	// 0. Translation cache: every last-region cache entry must agree with
-	// the dense page index. Checked first — the RC recomputation below
-	// translates through RegionOf, so a stale entry could otherwise fool
-	// the very check meant to catch it.
+	// the dense page index. The checks below translate through the page
+	// index directly, never through the cache, so Verify leaves the cache
+	// as it found it and a verified run charges what an unverified one does.
 	for i := range rt.lr {
 		e := rt.lr[i]
 		if owner := rt.pages.ownerAt(int(e.page)); owner != e.r {
@@ -175,7 +175,7 @@ func (rt *Runtime) verifyRC() *Fault {
 		}
 		r, out := reg, 0
 		rt.forEachNormalWord(r, func(_ Ptr, v Word) {
-			if t := rt.RegionOf(v); t != nil && t != r {
+			if t := rt.pages.lookup(v); t != nil && t != r {
 				want[t.id]++
 				out++
 			}
@@ -192,7 +192,7 @@ func (rt *Runtime) verifyRC() *Fault {
 	for _, seg := range ranges {
 		for a := seg[0]; a < seg[1]; a += mem.WordSize {
 			if v := rt.space.Load(a); v != 0 {
-				if t := rt.RegionOf(v); t != nil {
+				if t := rt.pages.lookup(v); t != nil {
 					want[t.id]++
 				}
 			}
@@ -205,7 +205,7 @@ func (rt *Runtime) verifyRC() *Fault {
 			continue
 		}
 		for _, p := range fr.slots {
-			if t := rt.RegionOf(p); t != nil {
+			if t := rt.pages.lookup(p); t != nil {
 				want[t.id]++
 			}
 		}

@@ -96,7 +96,7 @@ type HeapStrPool struct {
 
 // HeapReport is one full heap profile: the page census of every live
 // region, runtime-level free-memory accounting, and the live allocation-site
-// census. Produced by core.Runtime.HeapReport / HeapProfile.
+// census. Produced by core.Runtime.HeapReport.
 type HeapReport struct {
 	SchemaVersion int    `json:"schema_version"`
 	Origin        string `json:"origin,omitempty"` // e.g. a shard name
@@ -118,18 +118,6 @@ type HeapReport struct {
 	// the producing runtime predates the pool).
 	StrPool *HeapStrPool `json:"strPool,omitempty"`
 }
-
-// HeapReporter is anything that can produce a heap profile — concretely
-// *core.Runtime, but expressed as an interface so this package stays a leaf.
-type HeapReporter interface {
-	HeapReport() (*HeapReport, error)
-}
-
-// HeapProfile captures a heap profile from rt. It is a convenience wrapper
-// so callers holding a runtime can write metrics.HeapProfile(rt); the error
-// is non-nil only when the heap fails its structural invariants (the same
-// conditions Verify reports).
-func HeapProfile(rt HeapReporter) (*HeapReport, error) { return rt.HeapReport() }
 
 // Top returns the n regions with the largest capacity (footprint), ties
 // broken by id. The receiver is not modified.

@@ -16,7 +16,8 @@
 // now": Snapshot() is cheap, consistent, and diffable into per-interval
 // rates, WritePrometheus emits the text exposition format, WriteJSON a
 // schema-versioned JSON document (embedded in regionbench reports), and
-// HeapProfile turns the verifier's page walk into a per-region heap report.
+// HeapReport is the schema of the per-region heap report the runtime's
+// audited page walk produces.
 // docs/OBSERVABILITY.md documents the semantics; cmd/regionstat drives
 // everything against the benchmark applications.
 package metrics

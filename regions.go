@@ -357,8 +357,9 @@ func (s *System) RegisterCleanup(name string, fn CleanupFunc) CleanupID {
 func (s *System) SizeCleanup(size int) CleanupID { return s.rt.SizeCleanup(size) }
 
 // RegisterSizeCleanup registers a named cleanup for objects of a fixed size
-// that hold no counted region pointers. A region whose objects all use such
-// cleanups is deleted without running its cleanup walk.
+// that hold no counted region pointers: it calls no Destroy and returns
+// size. A region whose objects all use such cleanups holds no outgoing
+// counted pointers, so its deletion runs only the uncharged check walk.
 func (s *System) RegisterSizeCleanup(name string, size int) CleanupID {
 	return s.rt.RegisterSizeCleanup(name, size)
 }
